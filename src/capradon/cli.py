@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 stage failure.
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -79,7 +80,6 @@ _DEFAULTS = {
     "supersample": "0",
     "quantize": "1",
     "quant_delta": "0.0",
-    "workers": "1",
     "window": "hamming",
     "interpolation": "linear",
     "image_size": "55",
@@ -90,7 +90,7 @@ _DEFAULTS = {
     "render_hi": "1.0",
     "outdir": "out",
 }
-_INT_KEYS = ("n", "n_angles", "green_order", "image_size", "workers")
+_INT_KEYS = ("n", "n_angles", "green_order", "image_size")
 _FLOAT_KEYS = ("pitch", "standoff", "green_eps0", "x_pad", "z_max", "dx",
                "dz", "z_cut", "voxel_dx", "quant_delta", "pixel_mm",
                "render_lo", "render_hi")
@@ -129,7 +129,10 @@ def _coerce(key, value):
         if key in _INT_KEYS:
             return int(value)
         if key in _FLOAT_KEYS:
-            return float(value)
+            number = float(value)
+            if not math.isfinite(number):
+                raise ValueError("not a finite number")
+            return number
         if key in _BOOL_KEYS:
             if value not in ("0", "1"):
                 raise ValueError("expected 0 or 1")
@@ -191,8 +194,6 @@ def resolve_config(config_path=None, sets=()):
             raise ConfigError(f"{key} must be positive")
     if cfg["green_order"] < 1:
         raise ConfigError("green_order must be at least 1")
-    if cfg["workers"] < 1:
-        raise ConfigError("workers must be at least 1")
     if cfg["z_cut"] < 0 or cfg["quant_delta"] < 0:
         raise ConfigError("z_cut and quant_delta must be nonnegative")
     if cfg["render"] not in ("minmax", "symmetric", "fixed"):
@@ -307,7 +308,7 @@ def _stage_phantom(cfg, outdir):
     return ["phantom.ectv"]
 
 
-def _stage_forward(cfg, outdir, workers=None):
+def _stage_forward(cfg, outdir):
     grids = {}
     for k in cfg["gaps"]:
         path = outdir / f"weights_k{k}.ectw"
@@ -319,8 +320,7 @@ def _stage_forward(cfg, outdir, workers=None):
     geometry = SensorGeometry(n=cfg["n"], pitch=cfg["pitch"],
                               n_angles=cfg["n_angles"],
                               standoff=cfg["standoff"], gaps=cfg["gaps"])
-    sino = simulate_sweep(spec, grids, geometry,
-                          workers=workers or cfg["workers"])
+    sino = simulate_sweep(spec, grids, geometry)
     if cfg["quantize"]:
         sino = quantize(sino, cfg["quant_delta"] or None)
     save_sinogram(sino, outdir / "sweep.ects")
@@ -407,13 +407,13 @@ def _load_cache(outdir):
         return {}
 
 
-def _run_stage(cfg, stage, outdir, workers=None):
+def _run_stage(cfg, stage, outdir):
     if stage == "weights":
         return _stage_weights(cfg, outdir)
     if stage == "phantom":
         return _stage_phantom(cfg, outdir)
     if stage == "forward":
-        return _stage_forward(cfg, outdir, workers=workers)
+        return _stage_forward(cfg, outdir)
     if stage == "recon":
         return _stage_recon(cfg, outdir)
     return _stage_render(cfg, outdir)

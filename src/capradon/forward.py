@@ -6,6 +6,14 @@ the permittivity contrast along lines through the sample, weighted by
 the pair's depth-sensitivity map.  The result per gap is a sinogram of
 shape (n_angles, 2n+1-gap).
 
+The line integrals are exact: each primitive's cross-section at a
+weight row's height is cut by the lines in closed form (slab clipping,
+a quadratic, polygon edge crossings; see phantom.line_integrals), in
+the manner of Siddon's exact path (Med. Phys. 12(2), 1985).  Heights
+that cut the phantom in the same cross-sections form one group: their
+weight rows are summed once, and each group costs one row of line
+integrals per angle and one sliding-window product per gap.
+
 Sensor-frame convention: the line with signed offset s at angle theta
 passes through the points (s*cos(theta) - t*sin(theta),
 s*sin(theta) + t*cos(theta)) as t sweeps the chord, so the backprojector
@@ -13,14 +21,13 @@ can use s = x*cos(theta) + y*sin(theta).
 """
 
 import hashlib
-import multiprocessing
 import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .phantom import format_phantom
+from .phantom import PhantomSpec, format_phantom, line_integrals
 from .weights import pack_weight
 
 __all__ = [
@@ -28,7 +35,6 @@ __all__ = [
     "SinogramSet",
     "BoundingBoxError",
     "SinogramFileError",
-    "project_slice",
     "simulate_sweep",
     "quantize",
     "pack_sinogram",
@@ -68,14 +74,14 @@ class SensorGeometry:
             raise ValueError("n must be at least 4")
         if self.n_angles < 1:
             raise ValueError("n_angles must be at least 1")
-        if self.pitch <= 0:
-            raise ValueError("pitch must be positive")
-        if self.standoff < 0:
-            raise ValueError("standoff must be nonnegative")
+        if not (np.isfinite(self.pitch) and self.pitch > 0):
+            raise ValueError("pitch must be positive and finite")
+        if not (np.isfinite(self.standoff) and self.standoff >= 0):
+            raise ValueError("standoff must be nonnegative and finite")
         if not gaps or gaps[0] < 1 or gaps[-1] > 4:
             raise ValueError("gaps must be a nonempty subset of {1, 2, 3, 4}")
-        if self.quant_delta < 0:
-            raise ValueError("quant_delta must be nonnegative")
+        if not (np.isfinite(self.quant_delta) and self.quant_delta >= 0):
+            raise ValueError("quant_delta must be nonnegative and finite")
 
     @property
     def electrode_count(self):
@@ -142,46 +148,6 @@ def _check_scan_circle(bounds, radius):
             f"{radius:.3f} mm")
 
 
-def _circumcircle(bounds):
-    cx = 0.5 * (bounds[0] + bounds[1])
-    cy = 0.5 * (bounds[2] + bounds[3])
-    radius = 0.5 * np.hypot(bounds[1] - bounds[0], bounds[3] - bounds[2])
-    return cx, cy, radius
-
-
-def project_slice(spec, theta, s, z, step, scan_radius=None):
-    """Line integral of (permittivity - 1) at height z.
-
-    The line sits at signed offset s (mm) from the rotation axis at angle
-    theta; integration uses composite midpoint quadrature with the given
-    step bound over the chord of the phantom's bounding circle.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    bounds = spec.bounds()
-    if bounds is None:
-        return 0.0
-    if scan_radius is not None:
-        _check_scan_circle(bounds, scan_radius)
-    cx, cy, radius = _circumcircle(bounds)
-    c, sn = np.cos(theta), np.sin(theta)
-    sc = cx * c + cy * sn
-    half_sq = radius**2 - (s - sc) ** 2
-    if half_sq <= 0:
-        return 0.0
-    half = np.sqrt(half_sq)
-    tc = -cx * sn + cy * c
-    m = max(1, int(np.ceil(2 * half / step)))
-    dt = 2 * half / m
-    t = (tc - half) + (np.arange(m) + 0.5) * dt
-    x = s * c - t * sn
-    y = s * sn + t * c
-    from .phantom import eval_permittivity
-
-    vals = eval_permittivity(spec, x, y, z)
-    return float(np.sum(vals - 1.0) * dt)
-
-
 def _normalize_weights(weights, geometry):
     if hasattr(weights, "values") and not hasattr(weights, "gap"):
         grids = dict(weights)
@@ -208,67 +174,13 @@ def _normalize_weights(weights, geometry):
     return grids
 
 
-# Context shared by the per-angle workers; set once per sweep (the pool is
-# fork-started, so workers inherit it through the initializer).
-_SWEEP_CTX = None
-
-
-def _set_sweep_context(ctx):
-    global _SWEEP_CTX
-    _SWEEP_CTX = ctx
-
-
-def _sweep_angle(j):
-    ctx = _SWEEP_CTX
-    theta = ctx["angles"][j]
-    c, sn = np.cos(theta), np.sin(theta)
-    cx, cy = ctx["center"]
-    rb = ctx["radius"]
-    m = ctx["n_nodes"]
-    dt = 2 * rb / m
-    tc = -cx * sn + cy * c
-    t = (tc - rb) + (np.arange(m) + 0.5) * dt
-    x_mm = ctx["x_mm"]
-    px = x_mm[:, None] * c - t[None, :] * sn
-    py = x_mm[:, None] * sn + t[None, :] * c
-    prims = ctx["spec"].primitives
-    n_x = x_mm.size
-    z_heights = ctx["z_heights"]
-    proj = np.empty((z_heights.size, n_x))
-    cache = {}
-    for iz, zh in enumerate(z_heights):
-        key = tuple(p.footprint_token(zh) for p in prims)
-        row = cache.get(key)
-        if row is None:
-            active = [p for p, tok in zip(prims, key) if tok is not None]
-            if not active:
-                row = np.zeros(n_x)
-            else:
-                eps = np.ones_like(px)
-                for prim in active:
-                    eps = np.where(prim.contains(px, py, zh), prim.contrast,
-                                   eps)
-                row = (eps - 1.0).sum(axis=1) * dt
-            cache[key] = row
-        proj[iz] = row
-    spp = ctx["spp"]
-    out = {}
-    for k, w in ctx["weights"].items():
-        ndet = ctx["ndet"][k]
-        win = sliding_window_view(proj, w.shape[1], axis=1)[:, ::spp][:, :ndet]
-        out[k] = np.einsum("zdx,zx->d", win, w) * ctx["cell"]
-    return out
-
-
-def simulate_sweep(spec, weights, geometry, workers=1, metadata=None):
+def simulate_sweep(spec, weights, geometry, metadata=None):
     """Simulate a full rotation sweep over every gap in the geometry.
 
     weights maps gap -> conditioned WeightGrid (an iterable of grids works
     too).  All grids must share their sampling so detector windows land on
     a common lattice; the lattice step must divide the pitch exactly.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     grids = _normalize_weights(weights, geometry)
     ref = next(iter(grids.values()))
     spp = int(round(1.0 / ref.dx))
@@ -289,46 +201,37 @@ def simulate_sweep(spec, weights, geometry, workers=1, metadata=None):
     p = geometry.n_angles
     data = {k: np.zeros((p, geometry.detector_count(k)))
             for k in geometry.gaps}
-    if bounds is not None:
-        cx, cy, radius = _circumcircle(bounds)
-        step = geometry.pitch / 4
-        n_nodes = max(1, int(np.ceil(2 * radius / step)))
-        n_lattice = max((geometry.detector_count(k) - 1) * spp + grids[k].nx
-                        for k in geometry.gaps)
-        x_mm = ((-geometry.n + ref.x_origin + np.arange(n_lattice) * ref.dx)
-                * geometry.pitch)
-        z_heights = (geometry.standoff
-                     + (ref.z_origin + np.arange(ref.nz) * ref.dz)
-                     * geometry.pitch)
-        cell = (ref.dx * geometry.pitch) * (ref.dz * geometry.pitch)
-        ctx = {
-            "spec": spec,
-            "angles": geometry.angles(),
-            "center": (cx, cy),
-            "radius": radius,
-            "n_nodes": n_nodes,
-            "x_mm": x_mm,
-            "z_heights": z_heights,
-            "spp": spp,
-            "weights": {k: grids[k].values for k in geometry.gaps},
-            "ndet": {k: geometry.detector_count(k) for k in geometry.gaps},
-            "cell": cell,
-        }
-        if workers == 1:
-            _set_sweep_context(ctx)
-            try:
-                rows = [_sweep_angle(j) for j in range(p)]
-            finally:
-                _set_sweep_context(None)
-        else:
-            mp = multiprocessing.get_context("fork")
-            with mp.Pool(min(workers, p), initializer=_set_sweep_context,
-                         initargs=(ctx,)) as pool:
-                rows = pool.map(_sweep_angle, range(p))
-        for j, out in enumerate(rows):
-            for k in geometry.gaps:
-                data[k][j] = out[k]
-    return SinogramSet(geometry=geometry, angles=geometry.angles(),
+    angles = geometry.angles()
+    n_lattice = max((geometry.detector_count(k) - 1) * spp + grids[k].nx
+                    for k in geometry.gaps)
+    x_mm = ((-geometry.n + ref.x_origin + np.arange(n_lattice) * ref.dx)
+            * geometry.pitch)
+    z_heights = (geometry.standoff
+                 + (ref.z_origin + np.arange(ref.nz) * ref.dz)
+                 * geometry.pitch)
+    # Heights whose footprint tokens agree cut the phantom in the same
+    # cross-sections, so they share one row of line integrals per angle
+    # and their weight rows are summed once.
+    groups = {}
+    for iz, zh in enumerate(z_heights):
+        tokens = tuple(prim.footprint_token(zh) for prim in spec.primitives)
+        if any(tok is not None for tok in tokens):
+            groups.setdefault(tokens, []).append(iz)
+    for tokens, rows in groups.items():
+        zh = z_heights[rows[0]]
+        active = PhantomSpec(prim for prim, tok in zip(spec.primitives, tokens)
+                             if tok is not None)
+        proj = np.empty((p, n_lattice))
+        for j, theta in enumerate(angles):
+            proj[j] = line_integrals(active, theta, x_mm, zh)
+        for k in geometry.gaps:
+            w = grids[k].values[rows].sum(axis=0)
+            win = sliding_window_view(proj, w.size, axis=1)[:, ::spp]
+            data[k] += win[:, :geometry.detector_count(k)] @ w
+    cell = (ref.dx * geometry.pitch) * (ref.dz * geometry.pitch)
+    for k in geometry.gaps:
+        data[k] *= cell
+    return SinogramSet(geometry=geometry, angles=angles,
                        data=data, metadata=meta)
 
 
@@ -393,6 +296,8 @@ def load_sinogram(path):
         offset += _GAP_TAG.size
         if k in data:
             raise SinogramFileError(f"duplicate gap {k}")
+        if not 1 <= k <= 2 * n:
+            raise SinogramFileError(f"gap {k} outside 1..{2 * n}")
         count = p * (2 * n + 1 - k)
         end = offset + 4 * count
         if end > len(blob):
@@ -419,5 +324,8 @@ def load_sinogram(path):
                                   quant_delta=quant_delta)
     except ValueError as exc:
         raise SinogramFileError(f"bad geometry in header: {exc}") from None
-    return SinogramSet(geometry=geometry, angles=geometry.angles(),
-                       data=data, metadata=metadata)
+    try:
+        return SinogramSet(geometry=geometry, angles=geometry.angles(),
+                           data=data, metadata=metadata)
+    except ValueError as exc:
+        raise SinogramFileError(f"bad payload: {exc}") from None

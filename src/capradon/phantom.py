@@ -3,8 +3,15 @@
 A phantom is an ordered list of primitives (boxes, z-axis cylinders,
 spheres, extruded polygons) over a background of 1; where primitives
 overlap, the last one listed wins.  All coordinates are millimetres.
-Analytic evaluation is exact at arbitrary points; voxel grids exist for
-file interchange and externally supplied fields.
+Analytic evaluation is exact at arbitrary points and along lines; voxel
+grids exist for file interchange and externally supplied fields.
+
+Lines follow the sensor-frame convention of the forward model: the line
+with signed offset s at angle theta is (s*cos(theta) - t*sin(theta),
+s*sin(theta) + t*cos(theta)).  Each primitive's `crossings` gives, in
+closed form, the values of t where such lines cross its cross-section at
+a height, NaN where there is none; a point of a line is inside the
+primitive when an odd number of the primitive's crossings lie below it.
 """
 
 import struct
@@ -26,6 +33,7 @@ __all__ = [
     "load_phantom",
     "format_phantom",
     "eval_permittivity",
+    "line_integrals",
     "rotated_z",
     "translated",
     "mirrored_x",
@@ -55,6 +63,20 @@ def _check_contrast(contrast):
         raise ValueError(f"contrast must be positive, got {contrast}")
 
 
+def _misses(s, count):
+    return np.full((np.size(s), count), np.nan)
+
+
+def _disc_crossings(cx, cy, radius, theta, s):
+    """Entry and exit t of each line through a disc: a quadratic in t."""
+    c, sn = np.cos(theta), np.sin(theta)
+    d = np.atleast_1d(s) - (cx * c + cy * sn)
+    half_sq = radius * radius - d * d
+    half = np.sqrt(np.where(half_sq >= 0, half_sq, np.nan))
+    tc = -cx * sn + cy * c
+    return np.stack([tc - half, tc + half], axis=1)
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-extruded box, rotated about the z axis through its center."""
@@ -78,6 +100,33 @@ class Box:
         hx, hy, hz = self.half_extents
         return ((np.abs(u) <= hx) & (np.abs(v) <= hy)
                 & (np.abs(np.asarray(z) - self.center[2]) <= hz))
+
+    def crossings(self, theta, s, z):
+        """Entry and exit t per line, (len(s), 2), by slab clipping."""
+        s = np.atleast_1d(s)
+        hx, hy, hz = self.half_extents
+        if abs(z - self.center[2]) > hz:
+            return _misses(s, 2)
+        a = np.deg2rad(self.angle_deg)
+        c, sn = np.cos(theta), np.sin(theta)
+        px = s * c - self.center[0]
+        py = s * sn - self.center[1]
+        lo = np.full(s.shape, -np.inf)
+        hi = np.full(s.shape, np.inf)
+        for (ex, ey), h in (((np.cos(a), np.sin(a)), hx),
+                            ((-np.sin(a), np.cos(a)), hy)):
+            base = px * ex + py * ey
+            slope = -sn * ex + c * ey
+            if abs(slope) < 1e-12:
+                # the line runs along the slab: all of it or none of it
+                lo = np.where(np.abs(base) <= h, lo, np.inf)
+            else:
+                t1, t2 = (-h - base) / slope, (h - base) / slope
+                lo = np.maximum(lo, np.minimum(t1, t2))
+                hi = np.minimum(hi, np.maximum(t1, t2))
+        hit = lo <= hi
+        return np.stack([np.where(hit, lo, np.nan),
+                         np.where(hit, hi, np.nan)], axis=1)
 
     def footprint_token(self, z):
         # xy footprint is z-independent inside the slab
@@ -118,6 +167,12 @@ class Cylinder:
         zz = np.asarray(z)
         return (r2 <= self.radius**2) & (zz >= self.z_lo) & (zz <= self.z_hi)
 
+    def crossings(self, theta, s, z):
+        """Entry and exit t per line, (len(s), 2)."""
+        if not self.z_lo <= z <= self.z_hi:
+            return _misses(s, 2)
+        return _disc_crossings(self.cx, self.cy, self.radius, theta, s)
+
     def footprint_token(self, z):
         if self.z_lo <= z <= self.z_hi:
             return True
@@ -145,6 +200,14 @@ class Sphere:
         r2 = ((np.asarray(x) - cx) ** 2 + (np.asarray(y) - cy) ** 2
               + (np.asarray(z) - cz) ** 2)
         return r2 <= self.radius**2
+
+    def crossings(self, theta, s, z):
+        """Entry and exit t per line through the slice at z, (len(s), 2)."""
+        cx, cy, cz = self.center
+        if abs(z - cz) > self.radius:
+            return _misses(s, 2)
+        r = np.sqrt(max(self.radius**2 - (z - cz) ** 2, 0.0))
+        return _disc_crossings(cx, cy, r, theta, s)
 
     def footprint_token(self, z):
         # the xy cross-section changes with height, so the token carries z
@@ -190,6 +253,30 @@ class ExtrudedPolygon:
         zz = np.asarray(z)
         return inside & (zz >= self.z_lo) & (zz <= self.z_hi)
 
+    def crossings(self, theta, s, z):
+        """One t per edge and line, (len(s), edges); NaN where none.
+
+        An edge counts as crossed when its ends lie on opposite sides of
+        the line; a vertex on the line counts as lying on its negative
+        side, so a line through a vertex crosses the polygon boundary
+        there once or not at all.
+        """
+        verts = self.vertices
+        if not self.z_lo <= z <= self.z_hi:
+            return _misses(s, len(verts))
+        s = np.atleast_1d(s)
+        c, sn = np.cos(theta), np.sin(theta)
+        cols = []
+        for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
+            d1 = x1 * c + y1 * sn - s
+            d2 = x2 * c + y2 * sn - s
+            t1, t2 = -x1 * sn + y1 * c, -x2 * sn + y2 * c
+            crosses = (d1 > 0) != (d2 > 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tx = t1 + (t2 - t1) * d1 / (d1 - d2)
+            cols.append(np.where(crosses, tx, np.nan))
+        return np.stack(cols, axis=1)
+
     def footprint_token(self, z):
         if self.z_lo <= z <= self.z_hi:
             return True
@@ -226,6 +313,31 @@ def eval_permittivity(spec, x, y, z):
     for prim in spec.primitives:
         out = np.where(prim.contains(x, y, z), prim.contrast, out)
     return out.item() if out.ndim == 0 else out
+
+
+def line_integrals(spec, theta, s, z):
+    """Exact integral of (permittivity - 1) along each line at height z.
+
+    The lines sit at offsets s (mm) and angle theta.  All crossings split
+    each line into elementary segments; every primitive whose inside rule
+    holds on a segment overwrites its value in list order, so the last one
+    listed wins, as in eval_permittivity.
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    cuts = [p.crossings(theta, s, z) for p in spec.primitives]
+    if not cuts:
+        return np.zeros(s.shape)
+    ends = np.sort(np.concatenate(cuts, axis=1), axis=1)
+    # NaN ends sort last, so segments past a line's last crossing vanish
+    lengths = np.nan_to_num(np.diff(ends, axis=1))
+    mids = 0.5 * (ends[:, 1:] + ends[:, :-1])
+    values = np.ones(mids.shape)
+    for prim, pts in zip(spec.primitives, cuts):
+        inside = np.zeros(mids.shape, dtype=bool)
+        for col in pts.T:
+            inside ^= col[:, None] < mids
+        values = np.where(inside, prim.contrast, values)
+    return np.sum((values - 1.0) * lengths, axis=1)
 
 
 def rotated_z(spec, angle):

@@ -166,14 +166,6 @@ def test_pipeline_partial_invalidation(tmp_path):
                       "recon": False, "render": False}
 
 
-def test_pipeline_worker_count_is_invisible(tmp_path):
-    assert main(["pipeline"] + small_args(tmp_path, outdir="a",
-                                          workers=1)) == 0
-    assert main(["pipeline"] + small_args(tmp_path, outdir="b",
-                                          workers=4)) == 0
-    assert artifact_bytes(tmp_path / "a") == artifact_bytes(tmp_path / "b")
-
-
 def test_stagewise_matches_pipeline(tmp_path):
     assert main(["pipeline"] + small_args(tmp_path, outdir="pipe")) == 0
     for command in ("weights", "phantom", "forward", "recon", "render"):
@@ -204,6 +196,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["pipeline", "--set", "n"]) == 2
     assert main(["pipeline", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["standoff", "pixel_mm"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_values_exit_2(tmp_path, capsys, key, value):
+    args = small_args(tmp_path) + ["--set", f"{key}={value}"]
+    assert main(["pipeline"] + args) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_stage_failures_exit_3(tmp_path, capsys):

@@ -13,6 +13,7 @@ from capradon.phantom import (
     VoxelGrid,
     eval_permittivity,
     format_phantom,
+    line_integrals,
     load_voxels,
     mirrored_x,
     parse_phantom,
@@ -190,6 +191,106 @@ def test_footprint_tokens():
     # sphere cross-sections differ with height, so tokens carry it
     assert sph.footprint_token(3.5) != sph.footprint_token(4.5)
     assert sph.footprint_token(5.5) is None
+
+
+def _disc_chord(cx, cy, r, theta, s):
+    d = s - (cx * np.cos(theta) + cy * np.sin(theta))
+    return 2.0 * np.sqrt(np.clip(r * r - d * d, 0.0, None))
+
+
+def test_line_integrals_disc_chord():
+    cyl = Cylinder(cx=1.5, cy=-2.0, z_lo=3.0, z_hi=7.0, radius=3.0,
+                   contrast=2.2)
+    s = np.linspace(-6.0, 6.0, 97)
+    for theta in (0.0, 0.7, 1.9, 3.0):
+        np.testing.assert_allclose(
+            line_integrals(PhantomSpec((cyl,)), theta, s, 5.0),
+            1.2 * _disc_chord(1.5, -2.0, 3.0, theta, s), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(
+        line_integrals(PhantomSpec((cyl,)), 0.7, s, 7.5), 0.0)
+    # a missed line has no crossings
+    assert np.all(np.isnan(cyl.crossings(0.0, np.array([10.0]), 5.0)))
+
+
+def test_line_integrals_sphere_slice():
+    sph = Sphere(center=(-1.0, 2.0, 5.0), radius=2.5, contrast=1.7)
+    s = np.linspace(-5.0, 5.0, 81)
+    for z in (3.0, 5.0, 6.2):
+        r = np.sqrt(2.5**2 - (z - 5.0) ** 2)
+        for theta in (0.2, 1.3, 2.8):
+            np.testing.assert_allclose(
+                line_integrals(PhantomSpec((sph,)), theta, s, z),
+                0.7 * _disc_chord(-1.0, 2.0, r, theta, s), rtol=0,
+                atol=1e-12)
+    np.testing.assert_array_equal(
+        line_integrals(PhantomSpec((sph,)), 0.2, s, 7.6), 0.0)
+
+
+def test_line_integrals_rotated_box():
+    # 4 x 2 footprint turned by 30 degrees; lines along a box axis cut the
+    # full side length, lines through the center at any other angle cut
+    # min(2hx/|cos phi|, 2hy/|sin phi|), phi measured from the long axis
+    box = Box(center=(0.5, -0.3, 4.0), half_extents=(2.0, 1.0, 1.0),
+              angle_deg=30.0, contrast=2.5)
+    spec = PhantomSpec((box,))
+    a = np.deg2rad(30.0)
+
+    def center_offset(theta):
+        return 0.5 * np.cos(theta) - 0.3 * np.sin(theta)
+
+    for theta, half_width, chord in ((a + np.pi / 2, 1.0, 4.0),
+                                     (a, 2.0, 2.0)):
+        ds = np.array([-0.99, -0.4, 0.0, 0.7, 0.98]) * half_width
+        got = line_integrals(spec, theta, center_offset(theta) + ds, 4.5)
+        np.testing.assert_allclose(got, 1.5 * chord, rtol=0, atol=1e-12)
+        outside = center_offset(theta) + np.array([-1.01, 1.3]) * half_width
+        np.testing.assert_array_equal(
+            line_integrals(spec, theta, outside, 4.5), 0.0)
+    for theta in (0.1, 0.9, 1.7, 2.6):
+        phi = theta + np.pi / 2 - a
+        want = min(4.0 / abs(np.cos(phi)), 2.0 / abs(np.sin(phi)))
+        got = line_integrals(spec, theta, center_offset(theta), 4.5)
+        assert got == pytest.approx(1.5 * want, abs=1e-12)
+
+
+def test_line_integrals_square_polygon_matches_box():
+    poly = ExtrudedPolygon(vertices=((-1.5, -2.0), (1.5, -2.0), (1.5, 2.0),
+                                     (-1.5, 2.0)),
+                           z_lo=1.0, z_hi=3.0, contrast=2.0)
+    box = Box(center=(0, 0, 2.0), half_extents=(1.5, 2.0, 1.0),
+              angle_deg=0.0, contrast=2.0)
+    rng = np.random.default_rng(12)
+    s = rng.uniform(-3.0, 3.0, 400)
+    for theta in rng.uniform(0.0, np.pi, 6):
+        np.testing.assert_allclose(
+            line_integrals(PhantomSpec((poly,)), theta, s, 2.0),
+            line_integrals(PhantomSpec((box,)), theta, s, 2.0),
+            rtol=0, atol=1e-12)
+    # vertical lines cut the square's full height
+    np.testing.assert_allclose(
+        line_integrals(PhantomSpec((poly,)), 0.0, np.array([-1.4, 0.3]), 2.0),
+        4.0, rtol=0, atol=1e-12)
+
+
+def test_line_integrals_last_listed_wins():
+    outer = Cylinder(cx=0.0, cy=0.0, z_lo=0.0, z_hi=2.0, radius=3.0,
+                     contrast=2.0)
+    inner = Cylinder(cx=0.0, cy=0.0, z_lo=0.0, z_hi=2.0, radius=1.0,
+                     contrast=5.0)
+    s = np.array([0.0, 0.6, 2.0])
+    inner_chord = _disc_chord(0, 0, 1.0, 0.4, s)
+    outer_chord = _disc_chord(0, 0, 3.0, 0.4, s)
+    # the inner disc overwrites its part of the outer one
+    np.testing.assert_allclose(
+        line_integrals(PhantomSpec((outer, inner)), 0.4, s, 1.0),
+        (outer_chord - inner_chord) * 1.0 + inner_chord * 4.0,
+        rtol=0, atol=1e-12)
+    # listed first, the inner disc is hidden by the outer one
+    np.testing.assert_allclose(
+        line_integrals(PhantomSpec((inner, outer)), 0.4, s, 1.0),
+        outer_chord * 1.0, rtol=0, atol=1e-12)
+    assert line_integrals(PhantomSpec((outer, inner)), 0.4, 0.0, 1.0)[0] \
+        == pytest.approx(12.0, abs=1e-12)
 
 
 def _box_volume_error(h, supersample=False):
