@@ -24,6 +24,7 @@ from .forward import (
     SensorGeometry,
     load_sinogram,
     quantize,
+    samples_per_pitch,
     save_sinogram,
     simulate_sweep,
 )
@@ -97,6 +98,9 @@ _FLOAT_KEYS = ("pitch", "standoff", "green_eps0", "x_pad", "z_max", "dx",
 _BOOL_KEYS = ("supersample", "quantize", "csv")
 
 _STAGES = ("weights", "phantom", "forward", "recon", "render")
+# Largest phantom raster: 2**24 float64 voxels are 128 MiB, and
+# rasterizing holds a few arrays of that size at once.
+_MAX_VOXELS = 1 << 24
 
 
 class ConfigError(ValueError):
@@ -176,7 +180,7 @@ def resolve_config(config_path=None, sets=()):
     else:
         cfg["phantom_text"] = DEFAULT_PHANTOM
     try:
-        parse_phantom(cfg["phantom_text"])
+        spec = parse_phantom(cfg["phantom_text"])
     except PhantomParseError as exc:
         raise ConfigError(f"bad phantom: {exc}") from None
 
@@ -190,12 +194,28 @@ def resolve_config(config_path=None, sets=()):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     for key in ("green_eps0", "x_pad", "z_max", "dx", "dz", "voxel_dx"):
-        if cfg[key] <= 0 and key not in ("x_pad",):
+        if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
     if cfg["green_order"] < 1:
         raise ConfigError("green_order must be at least 1")
     if cfg["z_cut"] < 0 or cfg["quant_delta"] < 0:
         raise ConfigError("z_cut and quant_delta must be nonnegative")
+    try:
+        samples_per_pitch(cfg["dx"])
+    except ValueError as exc:
+        raise ConfigError(f"bad value for dx: {exc}") from None
+    if cfg["z_max"] <= cfg["dz"]:
+        raise ConfigError("z_max must exceed dz, or no weight row is left")
+    if cfg["z_cut"] >= cfg["z_max"]:
+        raise ConfigError("z_cut must be below z_max, or every weight row "
+                          "is cut")
+    bounds = spec.bounds()
+    if bounds is not None:
+        count = np.prod(_voxel_box(bounds, cfg["voxel_dx"])[0])
+        if not count <= _MAX_VOXELS:   # NaN when h underflows the bounds
+            raise ConfigError(
+                f"voxel_dx={cfg['voxel_dx']!r} is too fine: the phantom "
+                f"raster would exceed {_MAX_VOXELS} voxels")
     if cfg["render"] not in ("minmax", "symmetric", "fixed"):
         raise ConfigError("render must be minmax, symmetric or fixed")
     if cfg["render"] == "fixed" and cfg["render_hi"] <= cfg["render_lo"]:
@@ -290,6 +310,18 @@ def _stage_weights(cfg, outdir):
     return written
 
 
+def _voxel_box(bounds, h):
+    """Shape (nx, ny, nz) and origin of the raster around the bounds.
+
+    Both come as float arrays, so that a tiny h gives inf or NaN instead
+    of raising.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = np.floor(np.asarray(bounds[0::2]) / h) - 1
+        hi = np.ceil(np.asarray(bounds[1::2]) / h) + 1
+        return hi - lo, lo * h
+
+
 def _stage_phantom(cfg, outdir):
     spec = parse_phantom(cfg["phantom_text"])
     h = cfg["voxel_dx"]
@@ -298,11 +330,8 @@ def _stage_phantom(cfg, outdir):
         grid = VoxelGrid(values=np.ones((1, 1, 1)), spacing=(h, h, h),
                          origin=(0.0, 0.0, 0.0))
     else:
-        los = [int(np.floor(bounds[2 * a] / h)) - 1 for a in range(3)]
-        his = [int(np.ceil(bounds[2 * a + 1] / h)) + 1 for a in range(3)]
-        shape = tuple(hi - lo for lo, hi in zip(los, his))
-        origin = tuple(lo * h for lo in los)
-        grid = rasterize(spec, shape, h, origin,
+        shape, origin = _voxel_box(bounds, h)
+        grid = rasterize(spec, tuple(int(n) for n in shape), h, origin,
                          supersample=cfg["supersample"])
     save_voxels(grid, outdir / "phantom.ectv")
     return ["phantom.ectv"]

@@ -9,10 +9,15 @@ shape (n_angles, 2n+1-gap).
 The line integrals are exact: each primitive's cross-section at a
 weight row's height is cut by the lines in closed form (slab clipping,
 a quadratic, polygon edge crossings; see phantom.line_integrals), in
-the manner of Siddon's exact path (Med. Phys. 12(2), 1985).  Heights
-that cut the phantom in the same cross-sections form one group: their
-weight rows are summed once, and each group costs one row of line
-integrals per angle and one sliding-window product per gap.
+the manner of Siddon's exact path (Med. Phys. 12(2), 1985).  The
+transform is linear, so the phantom is split into overlap clusters
+(phantom.overlap_clusters) whose cross-sections never meet, and the
+sweep is the sum of the clusters' sweeps.  Within a cluster, heights
+that cut it in the same cross-sections form one group: their weight
+rows are summed once, and each group costs one block of line integrals
+and one sliding-window product per gap.  At each angle only the lattice
+lines in a band around the cluster's footprint discs are integrated;
+the others miss it and contribute exactly 0.
 
 Sensor-frame convention: the line with signed offset s at angle theta
 passes through the points (s*cos(theta) - t*sin(theta),
@@ -27,7 +32,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .phantom import PhantomSpec, format_phantom, line_integrals
+from .phantom import (
+    PhantomSpec,
+    format_phantom,
+    line_integrals,
+    overlap_clusters,
+)
 from .weights import pack_weight
 
 __all__ = [
@@ -36,6 +46,7 @@ __all__ = [
     "BoundingBoxError",
     "SinogramFileError",
     "simulate_sweep",
+    "samples_per_pitch",
     "quantize",
     "pack_sinogram",
     "save_sinogram",
@@ -46,6 +57,14 @@ _ECTS_MAGIC = b"ECTS"
 _ECTS_VERSION = 1
 _ECTS_HEADER = struct.Struct("<4sH2I3dH")
 _GAP_TAG = struct.Struct("<H")
+# Lines per line_integrals call, a block of angles of one band each.  A
+# call holds a few arrays of one value per line (4096 doubles are 32 KiB)
+# and a few of one value per crossing, which stay under glibc's initial
+# 128 KiB mmap threshold up to three crossings per line.  So the calls
+# reuse heap memory instead of mapping fresh pages, and they never free a
+# large block, which would raise glibc's dynamic mmap threshold and change
+# how the stages after the sweep allocate.
+_CHUNK_LINES = 4096
 
 
 class BoundingBoxError(ValueError):
@@ -149,15 +168,7 @@ def _check_scan_circle(bounds, radius):
 
 
 def _normalize_weights(weights, geometry):
-    if hasattr(weights, "values") and not hasattr(weights, "gap"):
-        grids = dict(weights)
-    else:
-        grids = {}
-        for g in weights:
-            if g.gap in grids:
-                raise ValueError(f"duplicate weight grid for gap {g.gap}")
-            grids[g.gap] = g
-    grids = {int(k): g for k, g in grids.items()}
+    grids = {int(k): g for k, g in weights.items()}
     if set(grids) != set(geometry.gaps):
         raise ValueError("weight gaps must match geometry.gaps")
     for k, g in grids.items():
@@ -174,18 +185,42 @@ def _normalize_weights(weights, geometry):
     return grids
 
 
+def samples_per_pitch(dx):
+    """Lattice steps per pitch, 1/dx; raises ValueError unless an integer."""
+    spp = int(round(1.0 / dx))
+    if spp < 1 or abs(spp * dx - 1.0) > 1e-9:
+        raise ValueError("1/dx must be an integer number of lattice steps")
+    return spp
+
+
+def _line_bands(cluster, angles, x_mm):
+    """First lattice line of each angle's band, and the common band width.
+
+    The band covers every line within the members' footprint discs, with
+    one line of margin on each side against rounding; it has the same
+    width at every angle and is moved inside the lattice where it would
+    run past either end.
+    """
+    discs = np.array([p.footprint_disc() for p in cluster.primitives])
+    centre = (np.cos(angles)[:, None] * discs[:, 0]
+              + np.sin(angles)[:, None] * discs[:, 1])
+    step = x_mm[1] - x_mm[0]
+    lo = np.floor((np.min(centre - discs[:, 2], axis=1) - x_mm[0]) / step)
+    hi = np.ceil((np.max(centre + discs[:, 2], axis=1) - x_mm[0]) / step)
+    width = min(int(np.max(hi - lo)) + 1, x_mm.size)
+    return np.clip(lo.astype(int), 0, x_mm.size - width), width
+
+
 def simulate_sweep(spec, weights, geometry, metadata=None):
     """Simulate a full rotation sweep over every gap in the geometry.
 
-    weights maps gap -> conditioned WeightGrid (an iterable of grids works
-    too).  All grids must share their sampling so detector windows land on
-    a common lattice; the lattice step must divide the pitch exactly.
+    weights maps gap -> conditioned WeightGrid.  All grids must share
+    their sampling so detector windows land on a common lattice; the
+    lattice step must divide the pitch exactly.
     """
     grids = _normalize_weights(weights, geometry)
     ref = next(iter(grids.values()))
-    spp = int(round(1.0 / ref.dx))
-    if spp < 1 or abs(spp * ref.dx - 1.0) > 1e-9:
-        raise ValueError("1/dx must be an integer number of lattice steps")
+    spp = samples_per_pitch(ref.dx)
     bounds = spec.bounds()
     if bounds is not None:
         _check_scan_circle(bounds, geometry.scan_radius)
@@ -209,25 +244,43 @@ def simulate_sweep(spec, weights, geometry, metadata=None):
     z_heights = (geometry.standoff
                  + (ref.z_origin + np.arange(ref.nz) * ref.dz)
                  * geometry.pitch)
-    # Heights whose footprint tokens agree cut the phantom in the same
-    # cross-sections, so they share one row of line integrals per angle
-    # and their weight rows are summed once.
-    groups = {}
-    for iz, zh in enumerate(z_heights):
-        tokens = tuple(prim.footprint_token(zh) for prim in spec.primitives)
-        if any(tok is not None for tok in tokens):
-            groups.setdefault(tokens, []).append(iz)
-    for tokens, rows in groups.items():
-        zh = z_heights[rows[0]]
-        active = PhantomSpec(prim for prim, tok in zip(spec.primitives, tokens)
-                             if tok is not None)
-        proj = np.empty((p, n_lattice))
-        for j, theta in enumerate(angles):
-            proj[j] = line_integrals(active, theta, x_mm, zh)
-        for k in geometry.gaps:
-            w = grids[k].values[rows].sum(axis=0)
-            win = sliding_window_view(proj, w.size, axis=1)[:, ::spp]
-            data[k] += win[:, :geometry.detector_count(k)] @ w
+    # heights whose weight row is zero in every gap (below z_cut) add 0
+    live = np.flatnonzero(np.any([g.values.any(axis=1)
+                                  for g in grids.values()], axis=0))
+    for cluster in overlap_clusters(spec):
+        # Heights whose footprint tokens agree cut the cluster in the same
+        # cross-sections, so they share one block of line integrals and
+        # their weight rows are summed once.
+        groups = {}
+        for iz in live:
+            tokens = tuple(prim.footprint_token(z_heights[iz])
+                           for prim in cluster.primitives)
+            if any(tok is not None for tok in tokens):
+                groups.setdefault(tokens, []).append(iz)
+        first, width = _line_bands(cluster, angles, x_mm)
+        chunk = max(1, _CHUNK_LINES // width)
+        blocks = [(slice(j, j + chunk),
+                   first[j:j + chunk, None] + np.arange(width))
+                  for j in range(0, p, chunk)]
+        # one row of line integrals per angle, read through each gap's
+        # detector windows; every group of the cluster rewrites the same
+        # band entries
+        proj = np.zeros((p, n_lattice))
+        windows = {k: sliding_window_view(proj, grids[k].nx, axis=1)
+                   [:, ::spp][:, :geometry.detector_count(k)]
+                   for k in geometry.gaps}
+        for tokens, rows in groups.items():
+            zh = z_heights[rows[0]]
+            active = PhantomSpec(prim for prim, tok
+                                 in zip(cluster.primitives, tokens)
+                                 if tok is not None)
+            for block, lines in blocks:
+                np.put_along_axis(
+                    proj[block], lines,
+                    line_integrals(active, angles[block, None], x_mm[lines],
+                                   zh), axis=1)
+            for k in geometry.gaps:
+                data[k] += windows[k] @ grids[k].values[rows].sum(axis=0)
     cell = (ref.dx * geometry.pitch) * (ref.dz * geometry.pitch)
     for k in geometry.gaps:
         data[k] *= cell

@@ -12,8 +12,16 @@ s*sin(theta) + t*cos(theta)).  Each primitive's `crossings` gives, in
 closed form, the values of t where such lines cross its cross-section at
 a height, NaN where there is none; a point of a line is inside the
 primitive when an odd number of the primitive's crossings lie below it.
+`crossings` and `line_integrals` broadcast theta against s, so one call
+can take a block of angles (theta[:, None]) with a row of offsets each.
+
+Each primitive's `footprint_disc` is a disc that holds its xy
+cross-section at every height.  Primitives whose z ranges overlap and
+whose discs meet are linked; `overlap_clusters` returns the connected
+components, between which "last listed wins" never applies.
 """
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -34,6 +42,7 @@ __all__ = [
     "format_phantom",
     "eval_permittivity",
     "line_integrals",
+    "overlap_clusters",
     "rotated_z",
     "translated",
     "mirrored_x",
@@ -63,8 +72,12 @@ def _check_contrast(contrast):
         raise ValueError(f"contrast must be positive, got {contrast}")
 
 
-def _misses(s, count):
-    return np.full((np.size(s), count), np.nan)
+def _line_shape(theta, s):
+    return np.broadcast(np.asarray(theta), np.atleast_1d(s)).shape
+
+
+def _misses(theta, s, count):
+    return np.full(_line_shape(theta, s) + (count,), np.nan)
 
 
 def _disc_crossings(cx, cy, radius, theta, s):
@@ -74,7 +87,7 @@ def _disc_crossings(cx, cy, radius, theta, s):
     half_sq = radius * radius - d * d
     half = np.sqrt(np.where(half_sq >= 0, half_sq, np.nan))
     tc = -cx * sn + cy * c
-    return np.stack([tc - half, tc + half], axis=1)
+    return np.stack([tc - half, tc + half], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -102,37 +115,42 @@ class Box:
                 & (np.abs(np.asarray(z) - self.center[2]) <= hz))
 
     def crossings(self, theta, s, z):
-        """Entry and exit t per line, (len(s), 2), by slab clipping."""
+        """Entry and exit t per line, (*lines, 2), by slab clipping."""
         s = np.atleast_1d(s)
         hx, hy, hz = self.half_extents
         if abs(z - self.center[2]) > hz:
-            return _misses(s, 2)
+            return _misses(theta, s, 2)
         a = np.deg2rad(self.angle_deg)
         c, sn = np.cos(theta), np.sin(theta)
         px = s * c - self.center[0]
         py = s * sn - self.center[1]
-        lo = np.full(s.shape, -np.inf)
-        hi = np.full(s.shape, np.inf)
+        shape = np.broadcast(px, py).shape
+        lo = np.full(shape, -np.inf)
+        hi = np.full(shape, np.inf)
         for (ex, ey), h in (((np.cos(a), np.sin(a)), hx),
                             ((-np.sin(a), np.cos(a)), hy)):
             base = px * ex + py * ey
             slope = -sn * ex + c * ey
-            if abs(slope) < 1e-12:
-                # the line runs along the slab: all of it or none of it
-                lo = np.where(np.abs(base) <= h, lo, np.inf)
-            else:
-                t1, t2 = (-h - base) / slope, (h - base) / slope
-                lo = np.maximum(lo, np.minimum(t1, t2))
-                hi = np.minimum(hi, np.maximum(t1, t2))
+            # a line along the slab lies in all of it or in none of it
+            along = np.abs(slope) < 1e-12
+            slope = np.where(along, 1.0, slope)
+            t1, t2 = (-h - base) / slope, (h - base) / slope
+            lo = np.where(along, np.where(np.abs(base) <= h, lo, np.inf),
+                          np.maximum(lo, np.minimum(t1, t2)))
+            hi = np.where(along, hi, np.minimum(hi, np.maximum(t1, t2)))
         hit = lo <= hi
         return np.stack([np.where(hit, lo, np.nan),
-                         np.where(hit, hi, np.nan)], axis=1)
+                         np.where(hit, hi, np.nan)], axis=-1)
 
     def footprint_token(self, z):
         # xy footprint is z-independent inside the slab
         if abs(z - self.center[2]) <= self.half_extents[2]:
             return True
         return None
+
+    def footprint_disc(self):
+        return (self.center[0], self.center[1],
+                math.hypot(self.half_extents[0], self.half_extents[1]))
 
     def bounds(self):
         hx, hy, hz = self.half_extents
@@ -168,15 +186,18 @@ class Cylinder:
         return (r2 <= self.radius**2) & (zz >= self.z_lo) & (zz <= self.z_hi)
 
     def crossings(self, theta, s, z):
-        """Entry and exit t per line, (len(s), 2)."""
+        """Entry and exit t per line, (*lines, 2)."""
         if not self.z_lo <= z <= self.z_hi:
-            return _misses(s, 2)
+            return _misses(theta, s, 2)
         return _disc_crossings(self.cx, self.cy, self.radius, theta, s)
 
     def footprint_token(self, z):
         if self.z_lo <= z <= self.z_hi:
             return True
         return None
+
+    def footprint_disc(self):
+        return (self.cx, self.cy, self.radius)
 
     def bounds(self):
         r = self.radius
@@ -202,10 +223,10 @@ class Sphere:
         return r2 <= self.radius**2
 
     def crossings(self, theta, s, z):
-        """Entry and exit t per line through the slice at z, (len(s), 2)."""
+        """Entry and exit t per line through the slice at z, (*lines, 2)."""
         cx, cy, cz = self.center
         if abs(z - cz) > self.radius:
-            return _misses(s, 2)
+            return _misses(theta, s, 2)
         r = np.sqrt(max(self.radius**2 - (z - cz) ** 2, 0.0))
         return _disc_crossings(cx, cy, r, theta, s)
 
@@ -214,6 +235,9 @@ class Sphere:
         if abs(z - self.center[2]) <= self.radius:
             return z
         return None
+
+    def footprint_disc(self):
+        return (self.center[0], self.center[1], self.radius)
 
     def bounds(self):
         cx, cy, cz = self.center
@@ -254,7 +278,7 @@ class ExtrudedPolygon:
         return inside & (zz >= self.z_lo) & (zz <= self.z_hi)
 
     def crossings(self, theta, s, z):
-        """One t per edge and line, (len(s), edges); NaN where none.
+        """One t per edge and line, (*lines, edges); NaN where none.
 
         An edge counts as crossed when its ends lie on opposite sides of
         the line; a vertex on the line counts as lying on its negative
@@ -263,7 +287,7 @@ class ExtrudedPolygon:
         """
         verts = self.vertices
         if not self.z_lo <= z <= self.z_hi:
-            return _misses(s, len(verts))
+            return _misses(theta, s, len(verts))
         s = np.atleast_1d(s)
         c, sn = np.cos(theta), np.sin(theta)
         cols = []
@@ -275,12 +299,19 @@ class ExtrudedPolygon:
             with np.errstate(divide="ignore", invalid="ignore"):
                 tx = t1 + (t2 - t1) * d1 / (d1 - d2)
             cols.append(np.where(crosses, tx, np.nan))
-        return np.stack(cols, axis=1)
+        return np.stack(cols, axis=-1)
 
     def footprint_token(self, z):
         if self.z_lo <= z <= self.z_hi:
             return True
         return None
+
+    def footprint_disc(self):
+        # centred on the bounding box, out to the farthest vertex
+        xmin, xmax, ymin, ymax = self.bounds()[:4]
+        cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
+        return (cx, cy, max(math.hypot(x - cx, y - cy)
+                            for x, y in self.vertices))
 
     def bounds(self):
         xs = [v[0] for v in self.vertices]
@@ -318,26 +349,58 @@ def eval_permittivity(spec, x, y, z):
 def line_integrals(spec, theta, s, z):
     """Exact integral of (permittivity - 1) along each line at height z.
 
-    The lines sit at offsets s (mm) and angle theta.  All crossings split
-    each line into elementary segments; every primitive whose inside rule
-    holds on a segment overwrites its value in list order, so the last one
-    listed wins, as in eval_permittivity.
+    The lines sit at offsets s (mm) and angles theta, broadcast against
+    each other.  All crossings split each line into elementary segments;
+    every primitive whose inside rule holds on a segment overwrites its
+    value in list order, so the last one listed wins, as in
+    eval_permittivity.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     cuts = [p.crossings(theta, s, z) for p in spec.primitives]
     if not cuts:
-        return np.zeros(s.shape)
-    ends = np.sort(np.concatenate(cuts, axis=1), axis=1)
+        return np.zeros(_line_shape(theta, s))
+    ends = np.sort(np.concatenate(cuts, axis=-1), axis=-1)
     # NaN ends sort last, so segments past a line's last crossing vanish
-    lengths = np.nan_to_num(np.diff(ends, axis=1))
-    mids = 0.5 * (ends[:, 1:] + ends[:, :-1])
+    lengths = np.nan_to_num(np.diff(ends, axis=-1))
+    mids = 0.5 * (ends[..., 1:] + ends[..., :-1])
     values = np.ones(mids.shape)
     for prim, pts in zip(spec.primitives, cuts):
         inside = np.zeros(mids.shape, dtype=bool)
-        for col in pts.T:
-            inside ^= col[:, None] < mids
+        for i in range(pts.shape[-1]):
+            inside ^= pts[..., i, None] < mids
         values = np.where(inside, prim.contrast, values)
-    return np.sum((values - 1.0) * lengths, axis=1)
+    return np.sum((values - 1.0) * lengths, axis=-1)
+
+
+def _meet(a, b):
+    """True when a's and b's z ranges overlap and their discs meet."""
+    za, zb = a.bounds()[4:], b.bounds()[4:]
+    if za[0] > zb[1] or zb[0] > za[1]:
+        return False
+    (ax, ay, ar), (bx, by, br) = a.footprint_disc(), b.footprint_disc()
+    return math.hypot(ax - bx, ay - by) <= ar + br
+
+
+def overlap_clusters(spec):
+    """Connected components of the overlap graph, as PhantomSpecs.
+
+    Two primitives are linked when their z ranges overlap and their
+    footprint discs meet (touching counts).  Members keep their list
+    order, and clusters are ordered by their first member.  Primitives of
+    different clusters never share a point, so the line integral of the
+    phantom is the sum of those of its clusters.
+    """
+    prims = spec.primitives
+    label = list(range(len(prims)))
+    for i in range(len(prims)):
+        for j in range(i + 1, len(prims)):
+            if label[i] != label[j] and _meet(prims[i], prims[j]):
+                keep, drop = sorted((label[i], label[j]))
+                label = [keep if lab == drop else lab for lab in label]
+    members = {}
+    for lab, prim in zip(label, prims):
+        members.setdefault(lab, []).append(prim)
+    return [PhantomSpec(m) for m in members.values()]
 
 
 def rotated_z(spec, angle):
@@ -501,8 +564,8 @@ class VoxelGrid:
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
         if vals.ndim != 3:
             raise ValueError("values must be (nz, ny, nx)")
-        if min(self.spacing) <= 0:
-            raise ValueError("spacing must be positive")
+        if not all(np.isfinite(s) and s > 0 for s in self.spacing):
+            raise ValueError("spacing must be positive and finite")
         if not np.all(vals > 0):
             raise ValueError("permittivity values must be positive")
 
@@ -605,4 +668,8 @@ def load_voxels(path):
     if len(payload) != 4 * nx * ny * nz:
         raise VoxelFileError("payload length does not match dimensions")
     values = np.frombuffer(payload, dtype="<f4").reshape(nz, ny, nx)
-    return VoxelGrid(values=values, spacing=(sx, sy, sz), origin=(ox, oy, oz))
+    try:
+        return VoxelGrid(values=values, spacing=(sx, sy, sz),
+                         origin=(ox, oy, oz))
+    except ValueError as exc:
+        raise VoxelFileError(f"bad grid: {exc}") from None

@@ -65,8 +65,9 @@ class WeightGrid:
             raise ValueError("values must be a 2-d (nz, nx) array")
         if self.gap < 1:
             raise ValueError(f"gap must be >= 1, got {self.gap}")
-        if self.dx <= 0 or self.dz <= 0:
-            raise ValueError("dx and dz must be positive")
+        if not (np.isfinite(self.dx) and np.isfinite(self.dz)
+                and self.dx > 0 and self.dz > 0):
+            raise ValueError("dx and dz must be positive and finite")
 
     @property
     def nx(self):
@@ -182,5 +183,8 @@ def load_weight(path):
     if len(payload) != 4 * nx * nz:
         raise WeightFileError("payload length does not match nx*nz")
     values = np.frombuffer(payload, dtype="<f4").reshape(nz, nx)
-    return WeightGrid(gap=gap, dx=dx, dz=dz, x_origin=x0, z_origin=z0,
-                      values=values, scale=scale, z_cut=z_cut)
+    try:
+        return WeightGrid(gap=gap, dx=dx, dz=dz, x_origin=x0, z_origin=z0,
+                          values=values, scale=scale, z_cut=z_cut)
+    except ValueError as exc:
+        raise WeightFileError(f"bad header: {exc}") from None

@@ -207,6 +207,27 @@ def test_non_finite_values_exit_2(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("dx=0.03", "1/dx"),
+    ("x_pad=0", "x_pad"),
+    ("dz=2.0", "z_max"),
+    ("z_cut=2.0", "z_cut"),
+    ("z_cut=9", "z_cut"),
+    ("voxel_dx=0.01", "voxels"),
+    ("voxel_dx=1e-9", "voxels"),
+    ("voxel_dx=5e-324", "voxels"),
+])
+def test_late_failures_are_config_errors(tmp_path, capsys, setting,
+                                         message):
+    # each of these used to fail inside a stage, after earlier stages had
+    # written their files; the voxel count is checked before any raster
+    # is allocated
+    args = small_args(tmp_path) + ["--set", setting]
+    assert main(["pipeline"] + args) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_stage_failures_exit_3(tmp_path, capsys):
     # phantom pokes out of the scan circle -> the forward stage fails
     far = tmp_path / "far.txt"

@@ -25,6 +25,7 @@ from capradon.phantom import (
     Sphere,
     eval_permittivity,
     mirrored_x,
+    overlap_clusters,
     translated,
 )
 from capradon.weights import condition_weight, synthesize_weight
@@ -262,6 +263,40 @@ def test_sweep_matches_scalar_reference(coeffs):
     w = make_weights(coeffs, (1,), z_max=1.0, x_pad=1.0)
     sino = simulate_sweep(_OVERLAPPING, w, geom)
     ref = _brute_sweep(_OVERLAPPING, w[1], geom)
+    np.testing.assert_allclose(sino.data[1], ref, rtol=0,
+                               atol=1e-10 * np.abs(ref).max())
+
+
+# Four overlap clusters at the weight rows' heights (2.6-4.5 mm): a box
+# and a cylinder that overlap; a sphere and a cylinder whose bounding
+# boxes overlap but whose footprint discs (4.95 mm apart, radii 2.5 and
+# 2.4) do not; and a cylinder linked to a polygon near the lattice's right
+# end, where at angle 0 the band of the widest angle runs past the
+# lattice and must be moved back inside it.
+_CLUSTERED = PhantomSpec((
+    Box(center=(-7.0, -2.0, 4.0), half_extents=(3.0, 2.0, 1.5),
+        angle_deg=25.0, contrast=2.0),
+    Cylinder(cx=-5.0, cy=0.0, z_lo=3.0, z_hi=4.0, radius=2.0, contrast=1.8),
+    Sphere(center=(3.0, -2.0, 4.0), radius=2.5, contrast=1.5),
+    Cylinder(cx=-0.5, cy=1.5, z_lo=2.5, z_hi=5.0, radius=2.4,
+             contrast=2.2),
+    Cylinder(cx=11.0, cy=-3.5, z_lo=2.5, z_hi=5.0, radius=2.0,
+             contrast=1.6),
+    ExtrudedPolygon(vertices=((9.0, -1.0), (13.5, 0.5), (10.0, 3.0)),
+                    z_lo=3.0, z_hi=4.5, contrast=2.5),
+))
+
+
+def test_clustered_sweep_matches_scalar_reference(coeffs):
+    sizes = [len(c.primitives) for c in overlap_clusters(_CLUSTERED)]
+    assert sizes == [2, 1, 1, 2]
+    geom = SensorGeometry(n=6, pitch=2.5, n_angles=4, standoff=2.0,
+                          gaps=(1,))
+    # x_pad 0.25 ends the lattice 0.625 mm beyond the scan circle; lines
+    # 0.3125 mm apart put several in each disc's rim
+    w = make_weights(coeffs, (1,), dx=0.125, z_max=1.0, x_pad=0.25)
+    sino = simulate_sweep(_CLUSTERED, w, geom)
+    ref = _brute_sweep(_CLUSTERED, w[1], geom)
     np.testing.assert_allclose(sino.data[1], ref, rtol=0,
                                atol=1e-10 * np.abs(ref).max())
 

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from capradon.phantom import (
     Box,
@@ -16,6 +20,8 @@ from capradon.phantom import (
     line_integrals,
     load_voxels,
     mirrored_x,
+    overlap_clusters,
+    pack_voxels,
     parse_phantom,
     rasterize,
     rotated_z,
@@ -191,6 +197,75 @@ def test_footprint_tokens():
     # sphere cross-sections differ with height, so tokens carry it
     assert sph.footprint_token(3.5) != sph.footprint_token(4.5)
     assert sph.footprint_token(5.5) is None
+
+
+def test_footprint_discs_hold_every_inside_point(mixed_spec):
+    rng = np.random.default_rng(8)
+    # a nonconvex polygon, whose disc is not its circumcircle
+    notch = ExtrudedPolygon(vertices=((-2, -1), (3, -1.5), (0.5, 0.2),
+                                      (2.5, 2.5), (-1.5, 1.8)),
+                            z_lo=3.0, z_hi=5.0, contrast=2.0)
+    for prim in mixed_spec.primitives + (notch,):
+        xmin, xmax, ymin, ymax, zmin, zmax = prim.bounds()
+        x = rng.uniform(xmin - 1, xmax + 1, 20000)
+        y = rng.uniform(ymin - 1, ymax + 1, 20000)
+        z = rng.uniform(zmin, zmax, 20000)
+        inside = prim.contains(x, y, z)
+        assert inside.sum() > 1000
+        cx, cy, r = prim.footprint_disc()
+        assert np.all(np.hypot(x[inside] - cx, y[inside] - cy) <= r)
+    box = mixed_spec.primitives[0]
+    assert box.footprint_disc() == pytest.approx((0.5, -0.3,
+                                                  np.hypot(2.9, 1.7)))
+
+
+def test_overlap_clusters():
+    def cyl(cx, cy, r, z_lo=0.0, z_hi=1.0):
+        return Cylinder(cx=cx, cy=cy, z_lo=z_lo, z_hi=z_hi, radius=r,
+                        contrast=2.0)
+
+    a = cyl(0.0, 0.0, 1.0)
+    b = cyl(2.0, 0.0, 1.0)            # touches a
+    c = Sphere(center=(4.5, 0.0, 0.5), radius=1.5, contrast=1.5)  # touches b
+    above = cyl(0.0, 0.0, 1.0, z_lo=1.5, z_hi=2.0)   # over a, z apart
+    apart = cyl(-3.0, 0.0, 1.99)      # 0.01 short of a
+    # a chain joins a and c, which do not meet; members keep list order
+    spec = PhantomSpec((c, above, a, apart, b))
+    assert overlap_clusters(spec) == [PhantomSpec((c, a, b)),
+                                      PhantomSpec((above,)),
+                                      PhantomSpec((apart,))]
+    # z ranges that only touch count as overlapping
+    lid = cyl(0.5, 0.0, 0.5, z_lo=1.0, z_hi=1.5)
+    assert overlap_clusters(PhantomSpec((a, lid))) == [PhantomSpec((a, lid))]
+    # overlapping bounding boxes link nothing when the discs do not meet
+    corner = cyl(1.5, 1.5, 1.0)
+    assert len(overlap_clusters(PhantomSpec((a, corner)))) == 2
+    assert overlap_clusters(PhantomSpec(())) == []
+
+
+def test_batched_crossings_match_per_angle(mixed_spec):
+    # at theta 0 and pi/2 the lines run along the slabs of an unrotated
+    # box; the other angles cut them
+    square = Box(center=(0.5, -0.3, 4.0), half_extents=(2.0, 1.0, 1.0),
+                 angle_deg=0.0, contrast=2.0)
+    theta = np.array([0.0, 0.4, np.pi / 2, 2.9])
+    s = np.random.default_rng(4).uniform(-4.0, 4.0, (theta.size, 25))
+    s[:, 0] = 1.5        # inside the unrotated box's x slab at theta 0
+    for prim in mixed_spec.primitives + (square,):
+        for z in (3.2, 4.1, 9.0):
+            got = prim.crossings(theta[:, None], s, z)
+            assert got.shape[:2] == s.shape
+            for j, th in enumerate(theta):
+                np.testing.assert_array_equal(got[j],
+                                              prim.crossings(th, s[j], z))
+    spec = PhantomSpec(mixed_spec.primitives + (square,))
+    got = line_integrals(spec, theta[:, None], s, 4.1)
+    for j, th in enumerate(theta):
+        np.testing.assert_array_equal(got[j],
+                                      line_integrals(spec, th, s[j], 4.1))
+    # a line along the y slab crosses the x slab nowhere
+    np.testing.assert_allclose(square.crossings(0.0, [1.5, 2.6], 4.1),
+                               [[-1.3, 0.7], [np.nan, np.nan]], atol=1e-12)
 
 
 def _disc_chord(cx, cy, r, theta, s):
@@ -387,6 +462,19 @@ def test_voxel_load_rejects_bad_magic(tmp_path):
         load_voxels(path)
 
 
+def test_voxel_load_rejects_bad_grid(tmp_path, voxel_blob):
+    path = tmp_path / "bad.ectv"
+    # spacing x (offset 16), spacing z (offset 32), first sample (offset 64)
+    for offset, field in ((16, np.float64(0.0).tobytes()),
+                          (32, np.float64(np.nan).tobytes()),
+                          (64, np.float32(-1.0).tobytes())):
+        bad = bytearray(voxel_blob)
+        bad[offset:offset + len(field)] = field
+        path.write_bytes(bytes(bad))
+        with pytest.raises(VoxelFileError, match="bad grid"):
+            load_voxels(path)
+
+
 def test_voxel_load_rejects_truncation(tmp_path, mixed_spec):
     grid = rasterize(mixed_spec, (8, 8, 4), 1.2, (-4.6, -4.9, 2.0))
     path = tmp_path / "trunc.ectv"
@@ -395,3 +483,40 @@ def test_voxel_load_rejects_truncation(tmp_path, mixed_spec):
     path.write_bytes(blob[:-5])
     with pytest.raises(VoxelFileError):
         load_voxels(path)
+
+
+@pytest.fixture(scope="module")
+def voxel_blob(mixed_spec):
+    return pack_voxels(rasterize(mixed_spec, (8, 8, 4), 1.2,
+                                 (-4.6, -4.9, 2.0)))
+
+
+# ECTV header: magic, nx, ny, nz, spacing (3), origin (3)
+_ECTV_HEADER = struct.Struct("<4s3I6d")
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(counts=st.dictionaries(st.integers(1, 3), st.integers(0, 2**32 - 1),
+                              max_size=2),
+       reals=st.dictionaries(st.integers(4, 9), st.floats(), max_size=2),
+       cut=st.one_of(st.just(0), st.integers(1, 1100)),
+       edits=st.lists(st.tuples(st.integers(0, 1100), st.integers(0, 255)),
+                      max_size=4))
+def test_voxel_load_raises_only_its_own_error(tmp_path, voxel_blob, counts,
+                                              reals, cut, edits):
+    # whole header fields are replaced, so that the grid's own checks are
+    # reached; then bytes anywhere are edited and the file may be cut short
+    fields = list(_ECTV_HEADER.unpack_from(voxel_blob))
+    for i, value in {**counts, **reals}.items():
+        fields[i] = value
+    blob = bytearray(_ECTV_HEADER.pack(*fields)
+                     + voxel_blob[_ECTV_HEADER.size:])
+    for pos, value in edits:
+        blob[pos % len(blob)] = value
+    path = tmp_path / "mutated.ectv"
+    path.write_bytes(bytes(blob[:len(blob) - cut % len(blob)]))
+    try:
+        load_voxels(path)
+    except VoxelFileError:
+        pass

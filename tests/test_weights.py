@@ -1,9 +1,12 @@
 """Sensitivity-weight synthesis, conditioning, profiling, and file I/O."""
 
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from capradon.greenfn import eval_green, potential_coefficients
 from capradon.weights import (
@@ -203,6 +206,21 @@ def test_load_rejects_truncated_payload(tmp_path, raw_gap2):
         load_weight(path)
 
 
+def test_load_rejects_bad_header_fields(tmp_path, raw_gap2):
+    path = tmp_path / "w.ectw"
+    save_weight(condition_weight(raw_gap2, 1.0), path)
+    blob = path.read_bytes()
+    # gap (offset 6), dx (offset 18)
+    for offset, field in ((6, (0).to_bytes(4, "little")),
+                          (18, np.float64(-0.05).tobytes()),
+                          (18, np.float64(np.nan).tobytes())):
+        bad = bytearray(blob)
+        bad[offset:offset + len(field)] = field
+        path.write_bytes(bytes(bad))
+        with pytest.raises(WeightFileError, match="bad header"):
+            load_weight(path)
+
+
 def test_asymmetric_grid_survives_io(tmp_path):
     # externally computed grids may be asymmetric; nothing re-symmetrizes them
     rng = np.random.default_rng(5)
@@ -215,3 +233,41 @@ def test_asymmetric_grid_survives_io(tmp_path):
     back = load_weight(path)
     np.testing.assert_array_equal(back.values, values.astype("<f4"))
     assert np.max(np.abs(back.values - back.values[:, ::-1])) > 0.1
+
+
+@pytest.fixture(scope="module")
+def weight_blob():
+    values = np.linspace(-1.0, 1.0, 4 * 9).reshape(4, 9)
+    return pack_weight(WeightGrid(gap=2, dx=0.5, dz=0.25, x_origin=-2.0,
+                                  z_origin=0.25, values=values))
+
+
+# ECTW header: magic, version, gap, nx, nz, dx, dz, x0, z0, scale, z_cut
+_ECTW_HEADER = struct.Struct("<4sH3I6d")
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(counts=st.dictionaries(st.integers(2, 4), st.integers(0, 2**32 - 1),
+                              max_size=2),
+       reals=st.dictionaries(st.integers(5, 10), st.floats(), max_size=2),
+       cut=st.one_of(st.just(0), st.integers(1, 220)),
+       edits=st.lists(st.tuples(st.integers(0, 220), st.integers(0, 255)),
+                      max_size=4))
+def test_weight_load_raises_only_its_own_error(tmp_path, weight_blob, counts,
+                                               reals, cut, edits):
+    # whole header fields are replaced, so that the grid's own checks are
+    # reached; then bytes anywhere are edited and the file may be cut short
+    fields = list(_ECTW_HEADER.unpack_from(weight_blob))
+    for i, value in {**counts, **reals}.items():
+        fields[i] = value
+    blob = bytearray(_ECTW_HEADER.pack(*fields)
+                     + weight_blob[_ECTW_HEADER.size:])
+    for pos, value in edits:
+        blob[pos % len(blob)] = value
+    path = tmp_path / "mutated.ectw"
+    path.write_bytes(bytes(blob[:len(blob) - cut % len(blob)]))
+    try:
+        load_weight(path)
+    except WeightFileError:
+        pass
