@@ -24,7 +24,6 @@ from .forward import (
     SensorGeometry,
     load_sinogram,
     quantize,
-    samples_per_pitch,
     save_sinogram,
     simulate_sweep,
 )
@@ -43,7 +42,13 @@ from .recon import (
     reconstruct_layers,
     save_layer,
 )
-from .weights import condition_weight, load_weight, save_weight, synthesize_weight
+from .weights import (
+    condition_weight,
+    load_weight,
+    samples_per_pitch,
+    save_weight,
+    synthesize_weight,
+)
 
 __all__ = [
     "ConfigError",
@@ -298,11 +303,10 @@ def _layer_files(cfg):
 def _stage_weights(cfg, outdir):
     coeffs = potential_coefficients(order=cfg["green_order"],
                                     eps0=cfg["green_eps0"])
+    grids = synthesize_weight(coeffs, cfg["gaps"], x_pad=cfg["x_pad"],
+                              z_max=cfg["z_max"], dx=cfg["dx"], dz=cfg["dz"])
     written = []
-    for k in cfg["gaps"]:
-        grid = synthesize_weight(coeffs, k, x_pad=cfg["x_pad"],
-                                 z_max=cfg["z_max"], dx=cfg["dx"],
-                                 dz=cfg["dz"])
+    for k, grid in grids.items():
         conditioned = condition_weight(grid, z_cut=cfg["z_cut"])
         name = f"weights_k{k}.ectw"
         save_weight(conditioned, outdir / name)

@@ -38,7 +38,7 @@ from .phantom import (
     line_integrals,
     overlap_clusters,
 )
-from .weights import pack_weight
+from .weights import pack_weight, samples_per_pitch
 
 __all__ = [
     "SensorGeometry",
@@ -46,7 +46,6 @@ __all__ = [
     "BoundingBoxError",
     "SinogramFileError",
     "simulate_sweep",
-    "samples_per_pitch",
     "quantize",
     "pack_sinogram",
     "save_sinogram",
@@ -183,14 +182,6 @@ def _normalize_weights(weights, geometry):
         if not same:
             raise ValueError("weight grids must share dx, dz, nz and origins")
     return grids
-
-
-def samples_per_pitch(dx):
-    """Lattice steps per pitch, 1/dx; raises ValueError unless an integer."""
-    spp = int(round(1.0 / dx))
-    if spp < 1 or abs(spp * dx - 1.0) > 1e-9:
-        raise ValueError("1/dx must be an integer number of lattice steps")
-    return spp
 
 
 def _line_bands(cluster, angles, x_mm):

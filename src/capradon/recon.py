@@ -231,9 +231,8 @@ def load_layer(path):
 def export_layer_csv(image, path):
     image = np.asarray(image, dtype=float)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in image:
-            writer.writerow([repr(float(v)) for v in row])
+        for row in image.tolist():
+            fh.write(",".join(map(repr, row)) + "\r\n")
 
 
 def import_layer_csv(path):

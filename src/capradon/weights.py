@@ -20,6 +20,7 @@ __all__ = [
     "DepthProfile",
     "WeightFileError",
     "DegenerateWeightError",
+    "samples_per_pitch",
     "synthesize_weight",
     "condition_weight",
     "depth_profile",
@@ -90,28 +91,47 @@ class DepthProfile(NamedTuple):
     barycenter: float      # mass-weighted mean height
 
 
-def synthesize_weight(coeffs, gap, x_pad=4.0, z_max=8.0, dx=0.05, dz=0.05):
-    """Sample the raw pair weight for `gap` on a regular window.
+def samples_per_pitch(dx):
+    """Lattice steps per pitch, 1/dx; raises ValueError unless an integer."""
+    spp = int(round(1.0 / dx))
+    if spp < 1 or abs(spp * dx - 1.0) > 1e-9:
+        raise ValueError("1/dx must be an integer number of lattice steps")
+    return spp
 
-    The window spans x in [-x_pad, gap + x_pad] and z in (0, z_max], so it
-    is symmetric about the pair midpoint x = gap/2.  Transmitting electrode
-    sits at x = 0, receiving one at x = gap.
+
+def synthesize_weight(coeffs, gaps, x_pad=4.0, z_max=8.0, dx=0.05, dz=0.05):
+    """Sample the raw pair weight of every gap in `gaps`; returns {gap: grid}.
+
+    Gap k's window spans x in [-x_pad, k + x_pad] and z in (0, z_max], so it
+    is symmetric about the pair midpoint x = k/2.  Transmitting electrode
+    sits at x = 0, receiving one at x = k.  The potential gradient is
+    evaluated once, on x in [-x_pad - kmax, kmax + x_pad]; each gap's weight
+    is the product of two column slices of it, k pitches apart, which needs
+    1/dx to be an integer.  x is defined by lattice index, so a gap's grid
+    does not depend on which other gaps are requested.
     """
-    if gap < 1:
-        raise ValueError(f"gap must be >= 1, got {gap}")
+    gaps = tuple(gaps)
+    if not gaps:
+        raise ValueError("at least one gap required")
+    if min(gaps) < 1:
+        raise ValueError(f"gap must be >= 1, got {min(gaps)}")
     if x_pad <= 0 or z_max <= dz or dx <= 0 or dz <= 0:
         raise ValueError("window parameters must be positive")
-    nx = int(round((gap + 2 * x_pad) / dx)) + 1
-    nz = int(round(z_max / dz))
-    x = -x_pad + dx * np.arange(nx)
-    z = dz * (1.0 + np.arange(nz))
-    xg = x[None, :]
-    zg = z[:, None]
-    _, (g1a, g2a) = eval_potential(coeffs, xg, zg)
-    _, (g1b, g2b) = eval_potential(coeffs, xg - gap, zg)
-    values = -(g1a * g1b + g2a * g2b)
-    return WeightGrid(gap=gap, dx=dx, dz=dz, x_origin=-x_pad, z_origin=dz,
-                      values=values)
+    spp = samples_per_pitch(dx)
+    kmax = max(gaps)
+    x = -x_pad + dx * np.arange(-kmax * spp,
+                                int(round((kmax + 2 * x_pad) / dx)) + 1)
+    z = dz * (1.0 + np.arange(int(round(z_max / dz))))
+    _, (g1, g2) = eval_potential(coeffs, x[None, :], z[:, None])
+    grids = {}
+    for k in gaps:
+        nx = int(round((k + 2 * x_pad) / dx)) + 1
+        a = slice(kmax * spp, kmax * spp + nx)
+        b = slice((kmax - k) * spp, (kmax - k) * spp + nx)
+        grids[k] = WeightGrid(
+            gap=k, dx=dx, dz=dz, x_origin=-x_pad, z_origin=dz,
+            values=-(g1[:, a] * g1[:, b] + g2[:, a] * g2[:, b]))
+    return grids
 
 
 def condition_weight(grid, z_cut=1.0):

@@ -7,9 +7,11 @@ plane has, in the half space z > 0, the Poisson-kernel potential
 
 (pitch units; the penetration behaviour of such coplanar pairs is discussed
 in Mamishev et al., "Interdigital sensors and transducers", Proc. IEEE
-92(5), 2004).  The pair weight is formed exactly as in
-`weights.synthesize_weight`: the negated dot product of the potential
-gradient with its copy shifted by the gap, sampled on the same window.
+92(5), 2004).  The pair weight is formed as in `weights.synthesize_weight`:
+the negated dot product of the potential gradient with its copy shifted by
+the gap, sampled on the window that `synthesize_weight` gives that gap.
+Here the strip gradient is evaluated at x and at x - gap directly; the
+program slices both from one gradient evaluation shared by all gaps.
 """
 
 import numpy as np
@@ -27,7 +29,7 @@ def strip_gradient(x, z, width=0.5):
 
 
 def strip_weight(gap, width=0.5, x_pad=4.0, z_max=8.0, dx=0.05, dz=0.05):
-    """Raw strip-pair weight for `gap` on the `synthesize_weight` window."""
+    """Raw strip-pair weight for `gap` on its `synthesize_weight` window."""
     nx = int(round((gap + 2 * x_pad) / dx)) + 1
     nz = int(round(z_max / dz))
     x = (-x_pad + dx * np.arange(nx))[None, :]

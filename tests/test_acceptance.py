@@ -52,8 +52,8 @@ def bench_weights():
     """Default-resolution conditioned weights for gaps 1-4, built once."""
     with _Timer() as t:
         coeffs = potential_coefficients(order=16, eps0=0.1)
-        grids = {k: condition_weight(synthesize_weight(coeffs, k), z_cut=1.0)
-                 for k in (1, 2, 3, 4)}
+        grids = {k: condition_weight(g, z_cut=1.0) for k, g in
+                 synthesize_weight(coeffs, (1, 2, 3, 4)).items()}
     return grids, t.seconds
 
 
@@ -151,7 +151,7 @@ def test_a3_weight_conditioning_and_depth_order():
     budget = 5.0
     with _Timer() as t:
         coeffs = potential_coefficients(order=16, eps0=0.1)
-        raw = {k: synthesize_weight(coeffs, k) for k in (1, 2, 3)}
+        raw = synthesize_weight(coeffs, (1, 2, 3))
         grids = {k: condition_weight(g, z_cut=1.0) for k, g in raw.items()}
         mirror = max(np.abs(g.values - g.values[:, ::-1]).max()
                      for g in grids.values())
@@ -159,7 +159,7 @@ def test_a3_weight_conditioning_and_depth_order():
         min1 = float(grids[1].values.min())
         zbar = {k: depth_profile(g).barycenter for k, g in grids.items()}
         bottom = {k: _lobe_bottom(g) for k, g in raw.items()}
-    bottom[4] = _lobe_bottom(synthesize_weight(coeffs, 4))
+    bottom[4] = _lobe_bottom(synthesize_weight(coeffs, (4,))[4])
     oracle = {k: _lobe_bottom(strip_weight(k)) for k in (1, 2, 3, 4)}
     dipole = {k: (1.0 + np.sqrt(2.0)) * k / 2.0 for k in (1, 2, 3, 4)}
     print(f"\n[A3] mirror asym {mirror:.2e}; peak magnitudes {peaks}; "
@@ -189,6 +189,25 @@ def test_a3_weight_conditioning_and_depth_order():
         assert abs(oracle[k] - dipole[k]) < 0.1, (
             f"gap {k}: strip lobe bottom {oracle[k]:.2f} vs dipole "
             f"{dipole[k]:.2f}")
+
+
+def test_gap4_lobe_bottom_converges_with_order():
+    """Gap 4's lobe bottom approaches the strip oracle as the order grows.
+
+    Not a numbered check: it backs [A3]'s note that the deep gap-4 lobe
+    comes from truncating the potential at `green_order`, by showing the
+    lobe bottom moving toward the strip oracle's as more neighbours are
+    pinned to 0.  The pipeline default stays at order 16.
+    """
+    oracle = _lobe_bottom(strip_weight(4))
+    bottom = {order: _lobe_bottom(synthesize_weight(
+        potential_coefficients(order=order, eps0=0.1), (4,))[4])
+        for order in (16, 32, 54)}
+    print(f"\ngap 4 lobe bottom by order {bottom}; strip oracle {oracle:.2f}")
+    dist = {order: abs(b - oracle) for order, b in bottom.items()}
+    assert bottom[16] > bottom[32] > bottom[54], bottom
+    assert dist[16] > dist[32] > dist[54], dist
+    assert dist[54] < 0.1, dist
 
 
 def test_a4_forward_model_properties(bench_weights):

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,3 +246,30 @@ def test_stage_failures_exit_3(tmp_path, capsys):
 def test_missing_prerequisite_exits_3(tmp_path, capsys):
     assert main(["forward"] + small_args(tmp_path, outdir="fresh")) == 3
     assert "weights" in capsys.readouterr().err
+
+
+def _benchmark_spans():
+    # perfbench is a script directory, not a package, so load it by path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_targets_are_called(tmp_path):
+    # the benchmark traces the names the pipeline calls through; a renamed
+    # or bypassed target silently drops its per-layer metrics
+    rec = _benchmark_spans().Recorder()
+    assert rec.absent == []
+    rec.install()
+    try:
+        assert main(["pipeline", "--set", f"outdir={tmp_path / 'out'}"]) == 0
+    finally:
+        rec.uninstall()
+    synth = [i for i, span in enumerate(rec.spans)
+             if span[0] == "weights.synth"]
+    potential = [span for span in rec.spans
+                 if span[0] == "greenfn.potential"]
+    assert len(synth) == 1
+    assert len(potential) == 1 and potential[0][3] == synth[0]

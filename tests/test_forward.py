@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,9 +41,9 @@ def coeffs():
 
 def make_weights(coeffs, gaps, dx=0.25, dz=0.25, z_max=2.0, x_pad=2.0,
                  z_cut=0.5):
-    return {k: condition_weight(
-        synthesize_weight(coeffs, k, x_pad=x_pad, z_max=z_max, dx=dx, dz=dz),
-        z_cut=z_cut) for k in gaps}
+    raw = synthesize_weight(coeffs, gaps, x_pad=x_pad, z_max=z_max, dx=dx,
+                            dz=dz)
+    return {k: condition_weight(g, z_cut=z_cut) for k, g in raw.items()}
 
 
 @pytest.fixture(scope="module")
@@ -428,8 +429,8 @@ def test_sweep_mass_conservation(small_weights, geom):
 
 def test_sweep_validation(coeffs, small_weights, geom):
     spec = PhantomSpec((Sphere(center=(0, 0, 5.0), radius=2.0, contrast=2.0),))
-    raw = {k: synthesize_weight(coeffs, k, x_pad=2.0, z_max=2.0, dx=0.25,
-                                dz=0.25) for k in geom.gaps}
+    raw = synthesize_weight(coeffs, geom.gaps, x_pad=2.0, z_max=2.0, dx=0.25,
+                            dz=0.25)
     with pytest.raises(ValueError, match="conditioned"):
         simulate_sweep(spec, raw, geom)
     with pytest.raises(ValueError, match="gaps"):
@@ -438,7 +439,8 @@ def test_sweep_validation(coeffs, small_weights, geom):
     mixed[2] = make_weights(coeffs, (2,), dx=0.125)[2]
     with pytest.raises(ValueError, match="share"):
         simulate_sweep(spec, mixed, geom)
-    coarse = make_weights(coeffs, geom.gaps, dx=0.3)
+    # synthesize_weight itself rejects dx = 0.3, so relabel valid grids
+    coarse = {k: replace(g, dx=0.3) for k, g in small_weights.items()}
     with pytest.raises(ValueError, match="integer"):
         simulate_sweep(spec, coarse, geom)
     far = PhantomSpec((Sphere(center=(20.0, 0, 5.0), radius=2.0,

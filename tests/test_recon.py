@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -316,3 +318,20 @@ def test_layer_csv_round_trip(tmp_path):
     path = tmp_path / "layer.csv"
     export_layer_csv(image, path)
     np.testing.assert_array_equal(import_layer_csv(path), image)
+
+
+def test_layer_csv_bytes_match_csv_writer(tmp_path):
+    # oracle: the stdlib writer on repr'd floats (comma separated, CRLF row
+    # ends, shortest round-tripping repr), the layer CSV format
+    rng = np.random.default_rng(13)
+    image = rng.normal(size=(5, 6)) * 10.0 ** rng.integers(-20, 20, (5, 6))
+    image[0, :4] = [0.0, -0.0, 1e-300, -123456789.0]
+    image[1, :3] = [np.inf, -np.inf, np.nan]
+    path = tmp_path / "layer.csv"
+    export_layer_csv(image, path)
+    oracle = tmp_path / "oracle.csv"
+    with open(oracle, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        for row in image:
+            writer.writerow([repr(float(v)) for v in row])
+    assert path.read_bytes() == oracle.read_bytes()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from capradon.greenfn import eval_green, potential_coefficients
+from capradon.greenfn import eval_green, eval_potential, potential_coefficients
 from capradon.weights import (
     DegenerateWeightError,
     WeightFileError,
@@ -29,11 +29,11 @@ def coeffs():
 
 @pytest.fixture(scope="module")
 def raw_gap2(coeffs):
-    return synthesize_weight(coeffs, 2)
+    return synthesize_weight(coeffs, (2,))[2]
 
 
 def test_default_window(coeffs):
-    w = synthesize_weight(coeffs, 3)
+    w = synthesize_weight(coeffs, (3,))[3]
     assert w.nx == int(round((3 + 8) / 0.05)) + 1
     assert w.nz == 160
     assert w.x_coords()[0] == pytest.approx(-4.0)
@@ -45,8 +45,8 @@ def test_default_window(coeffs):
 
 def test_mirror_symmetry_about_pair_midpoint(coeffs):
     # the x grid is symmetric about k/2, so mirroring is an index reversal
-    for k in (1, 2, 3, 4):
-        v = synthesize_weight(coeffs, k).values
+    for k, w in synthesize_weight(coeffs, (1, 2, 3, 4)).items():
+        v = w.values
         assert np.max(np.abs(v - v[:, ::-1])) < 1e-12
 
 
@@ -60,7 +60,7 @@ def test_matches_independent_finite_difference_oracle(coeffs):
         return ((f(x + h, z) - f(x - h, z)) / (2 * h),
                 (f(x, z + h) - f(x, z - h)) / (2 * h))
 
-    w = synthesize_weight(coeffs, 2)
+    w = synthesize_weight(coeffs, (2,))[2]
     xs, zs = w.x_coords(), w.z_coords()
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -71,25 +71,71 @@ def test_matches_independent_finite_difference_oracle(coeffs):
 
 
 def test_weight_takes_both_signs(coeffs):
-    v = synthesize_weight(coeffs, 1).values
+    v = synthesize_weight(coeffs, (1,))[1].values
     assert v.max() > 0 and v.min() < 0
 
 
 def test_boundary_decay(coeffs):
     # sensitivity above 8 pitches is < 1e-6 of the grid peak
-    for k in (1, 4):
-        w = synthesize_weight(coeffs, k, z_max=10.0)
+    for w in synthesize_weight(coeffs, (1, 4), z_max=10.0).values():
         deep = np.abs(w.values[w.z_coords() > 8.0, :])
         assert deep.max() < 1e-6 * np.abs(w.values).max()
 
 
 def test_synthesize_validation(coeffs):
     with pytest.raises(ValueError):
-        synthesize_weight(coeffs, 0)
+        synthesize_weight(coeffs, (0,))
     with pytest.raises(ValueError):
-        synthesize_weight(coeffs, 2, dx=-0.1)
+        synthesize_weight(coeffs, (2,), dx=-0.1)
     with pytest.raises(ValueError):
-        synthesize_weight(coeffs, 2, z_max=0.0)
+        synthesize_weight(coeffs, (2,), z_max=0.0)
+
+
+def test_synthesize_rejects_bad_gaps_and_dx(coeffs):
+    with pytest.raises(ValueError, match="gap"):
+        synthesize_weight(coeffs, ())
+    with pytest.raises(ValueError, match="gap"):
+        synthesize_weight(coeffs, (2, 0))
+    with pytest.raises(ValueError, match="integer"):
+        synthesize_weight(coeffs, (1, 2), dx=0.3)
+
+
+def test_multi_gap_call_equals_single_gap_calls(coeffs):
+    # x is defined by lattice index, so a grid does not depend on the others
+    multi = synthesize_weight(coeffs, (3, 1, 4, 2))
+    assert list(multi) == [3, 1, 4, 2]
+    for k, grid in multi.items():
+        single = synthesize_weight(coeffs, (k,))[k]
+        assert np.array_equal(grid.values, single.values)
+        assert (grid.gap, grid.dx, grid.dz, grid.x_origin, grid.z_origin) == (
+            single.gap, single.dx, single.dz, single.x_origin, single.z_origin)
+
+
+def _two_window_weight(coeffs, gap, x_pad=4.0, z_max=8.0, dx=0.05, dz=0.05):
+    # oracle: the gradient evaluated separately at x and at x - gap on the
+    # gap's own window, instead of as two slices of one shared evaluation
+    nx = int(round((gap + 2 * x_pad) / dx)) + 1
+    x = (-x_pad + dx * np.arange(nx))[None, :]
+    z = (dz * (1.0 + np.arange(int(round(z_max / dz)))))[:, None]
+    _, (g1a, g2a) = eval_potential(coeffs, x, z)
+    _, (g1b, g2b) = eval_potential(coeffs, x - gap, z)
+    return WeightGrid(gap=gap, dx=dx, dz=dz, x_origin=-x_pad, z_origin=dz,
+                      values=-(g1a * g1b + g2a * g2b))
+
+
+def test_shared_gradient_matches_two_window_oracle(coeffs):
+    # the two x axes differ only by rounding, so the raw grids agree to
+    # 1e-13 of the peak (elementwise they differ relatively more only where
+    # the weight crosses zero), and the saved f32 payloads are equal
+    for k, grid in synthesize_weight(coeffs, (1, 2, 3, 4)).items():
+        want = _two_window_weight(coeffs, k)
+        assert grid.values.shape == want.values.shape
+        peak = np.max(np.abs(want.values))
+        assert np.max(np.abs(grid.values - want.values)) <= 1e-13 * peak
+        got, ref = condition_weight(grid, 1.0), condition_weight(want, 1.0)
+        assert np.array_equal(got.values.astype("<f4"),
+                              ref.values.astype("<f4"))
+        assert got.scale == pytest.approx(ref.scale, rel=1e-13)
 
 
 def test_condition_truncates_and_normalizes(raw_gap2):
@@ -153,8 +199,9 @@ def test_depth_profile_measured_barycenters(coeffs):
     # they are not ordered in the gap.  Depth ordering is checked on the
     # signed weight's lobe bottom in the acceptance suite ([A3])
     want = {1: 1.9389, 2: 1.7637, 3: 1.6577}
+    raw = synthesize_weight(coeffs, tuple(want))
     for k, value in want.items():
-        cw = condition_weight(synthesize_weight(coeffs, k), 1.0)
+        cw = condition_weight(raw[k], 1.0)
         assert depth_profile(cw).barycenter == pytest.approx(value, abs=2e-4)
 
 
