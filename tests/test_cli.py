@@ -273,3 +273,13 @@ def test_benchmark_trace_targets_are_called(tmp_path):
                  if span[0] == "greenfn.potential"]
     assert len(synth) == 1
     assert len(potential) == 1 and potential[0][3] == synth[0]
+    # recon filters each of the four default gaps and backprojects them in
+    # one call
+    layers = [i for i, span in enumerate(rec.spans)
+              if span[0] == "recon.layers"]
+    backproject = [span for span in rec.spans
+                   if span[0] == "recon.backproject"]
+    filters = [span for span in rec.spans if span[0] == "recon.filter"]
+    assert len(layers) == 1
+    assert len(backproject) == 1 and backproject[0][3] == layers[0]
+    assert len(filters) == 4

@@ -2,7 +2,10 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from capradon import recon
 from capradon.forward import SensorGeometry, SinogramSet
 from capradon.recon import (
     FilterSpec,
@@ -40,6 +43,12 @@ def test_filter_spec_validation():
         FilterSpec(size=1)
     with pytest.raises(ValueError):
         FilterSpec(pixel_pitch=0.0)
+
+
+@pytest.mark.parametrize("pitch", [np.nan, np.inf])
+def test_filter_spec_rejects_non_finite_pitch(pitch):
+    with pytest.raises(ValueError, match="finite"):
+        FilterSpec(pixel_pitch=pitch)
 
 
 def test_ramp_filter_bins():
@@ -143,6 +152,95 @@ def test_backproject_validation():
         backproject(np.zeros((2, 8)), np.zeros(3), spec)
     with pytest.raises(ValueError):
         backproject(np.zeros((2, 8)), np.zeros(2), spec, det_spacing=0.0)
+    with pytest.raises(ValueError):
+        backproject(np.zeros((2, 3, 8)), np.zeros(2), spec)
+    with pytest.raises(ValueError):
+        backproject(np.zeros((1, 2, 3, 8)), np.zeros(3), spec)
+
+
+@pytest.mark.parametrize("det_spacing", [np.nan, np.inf, 1e-320])
+def test_backproject_rejects_bad_det_spacing(det_spacing):
+    # 1e-320 is positive, but it sends the frame's rays past the float range
+    spec = FilterSpec(size=8, pixel_pitch=1.0)
+    with pytest.raises(ValueError, match="det_spacing"):
+        backproject(np.ones((2, 8)), np.zeros(2), spec,
+                    det_spacing=det_spacing)
+
+
+@pytest.mark.parametrize("where", ["angles", "filtered"])
+def test_backproject_rejects_non_finite_input(where):
+    spec = FilterSpec(size=8, pixel_pitch=1.0)
+    rows, angles = np.ones((2, 3, 8)), np.zeros(3)
+    if where == "angles":
+        angles[1] = np.nan
+    else:
+        rows[1, 2, 5] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        backproject(rows, angles, spec)
+
+
+def backproject_oracle(filtered, angles, spec, det_spacing=1.0):
+    """Per-angle np.interp / rint backprojection of one (p, n_det) stack."""
+    n_det = filtered.shape[1]
+    c = (spec.size - 1) / 2.0
+    coords = (np.arange(spec.size) - c) * spec.pixel_pitch
+    X = coords[None, :]
+    Y = coords[:, None]
+    det_center = (n_det - 1) / 2.0
+    image = np.zeros((spec.size, spec.size))
+    idx = np.arange(n_det, dtype=float)
+    for theta, row in zip(angles, filtered):
+        s = (X * np.cos(theta) + Y * np.sin(theta)) / det_spacing + det_center
+        if spec.interpolation == "linear":
+            image += np.interp(s.ravel(), idx, row, left=0.0,
+                               right=0.0).reshape(image.shape)
+        else:
+            near = np.rint(s).astype(int)
+            valid = (near >= 0) & (near < n_det)
+            image += np.where(valid, row[np.clip(near, 0, n_det - 1)], 0.0)
+    return image * (np.pi / angles.size)
+
+
+# (size, pixel_pitch, n_det, det_spacing): at theta = 0 the first frame puts
+# every ray on a detector node, n_det - 1 included, with rays outside on
+# both sides; the second puts them half way between nodes, s = -0.5 and
+# s = n_det - 0.5 included; the third is generic
+BITWISE_FRAMES = [(9, 1.0, 5, 1.0), (8, 1.0, 7, 1.0), (23, 0.7, 17, 1.3)]
+
+
+@pytest.mark.parametrize("interpolation", ["linear", "nearest"])
+@pytest.mark.parametrize("frame", BITWISE_FRAMES)
+def test_backproject_matches_oracle_bitwise(frame, interpolation):
+    size, pixel_pitch, n_det, det_spacing = frame
+    spec = FilterSpec(window="none", interpolation=interpolation, size=size,
+                      pixel_pitch=pixel_pitch)
+    rng = np.random.default_rng(size)
+    angles = np.concatenate([[0.0, np.pi / 2, np.pi], rng.uniform(0, 7, 5)])
+    rows = rng.normal(size=(angles.size, n_det))
+    want = backproject_oracle(rows, angles, spec, det_spacing)
+    got = backproject(rows, angles, spec, det_spacing=det_spacing)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("interpolation", ["linear", "nearest"])
+@pytest.mark.parametrize("block_rows", [1, 3])
+def test_backproject_stack_in_partial_row_blocks(monkeypatch, interpolation,
+                                                 block_rows):
+    # 23 rows in blocks of 3 leave a last block of 2
+    size, n_det = 23, 17
+    monkeypatch.setattr(recon, "_BLOCK_PIXELS", block_rows * size + 1)
+    spec = FilterSpec(window="none", interpolation=interpolation, size=size,
+                      pixel_pitch=0.9)
+    rng = np.random.default_rng(21)
+    angles = np.arange(12) * np.pi / 12
+    stack = rng.normal(size=(3, angles.size, n_det))
+    images = backproject(stack, angles, spec, det_spacing=1.1)
+    assert images.shape == (3, size, size)
+    for k in range(3):
+        np.testing.assert_array_equal(
+            images[k], backproject(stack[k], angles, spec, det_spacing=1.1))
+        np.testing.assert_array_equal(
+            images[k], backproject_oracle(stack[k], angles, spec, 1.1))
 
 
 @pytest.mark.parametrize("n_angles", [90, 180])
@@ -310,6 +408,35 @@ def test_layer_load_rejects_garbage(tmp_path):
         load_layer(bad)
     with pytest.raises(ValueError):
         pack_layer(np.zeros((3, 4)), 1, 2.5)
+    for pitch in (np.nan, -2.5, np.inf):
+        bad.write_bytes(pack_layer(np.zeros((4, 4)), 1, pitch))
+        with pytest.raises(LayerFileError, match="frame"):
+            load_layer(bad)
+    bad.write_bytes(blob[:8] + b"\x00\x00\x00\x00" + blob[12:20])
+    with pytest.raises(LayerFileError, match="frame"):
+        load_layer(bad)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cut=st.one_of(st.just(0), st.integers(min_value=0, max_value=100)),
+       edits=st.lists(st.tuples(st.one_of(st.integers(0, 19),
+                                          st.integers(0, 100)),
+                                st.integers(0, 255)), max_size=4))
+def test_layer_load_raises_only_its_own_error(tmp_path, cut, edits):
+    # the 20 header bytes are drawn as often as the rest of the file, and
+    # half the files keep their full length, so a mutated header is read
+    blob = bytearray(pack_layer(np.arange(16.0).reshape(4, 4), 2, 2.5))
+    for pos, value in edits:
+        blob[pos % len(blob)] = value
+    path = tmp_path / "mutated.ectl"
+    path.write_bytes(bytes(blob[:len(blob) - cut % len(blob)]))
+    try:
+        _, pitch, image = load_layer(path)
+    except LayerFileError:
+        return
+    assert 0 < pitch < np.inf
+    assert image.ndim == 2 and image.shape[0] == image.shape[1] >= 1
 
 
 def test_layer_csv_round_trip(tmp_path):
@@ -318,6 +445,16 @@ def test_layer_csv_round_trip(tmp_path):
     path = tmp_path / "layer.csv"
     export_layer_csv(image, path)
     np.testing.assert_array_equal(import_layer_csv(path), image)
+
+
+@pytest.mark.parametrize("text", ["1.0,2.0\r\n3.0\r\n",
+                                  "1.0,2.0\r\n3.0,x\r\n",
+                                  "1.0,2.0\r\n3.0,\r\n"])
+def test_layer_csv_import_rejects_garbage(tmp_path, text):
+    path = tmp_path / "layer.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(LayerFileError):
+        import_layer_csv(path)
 
 
 def test_layer_csv_bytes_match_csv_writer(tmp_path):
