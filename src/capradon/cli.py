@@ -16,7 +16,9 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,7 +104,13 @@ _FLOAT_KEYS = ("pitch", "standoff", "green_eps0", "x_pad", "z_max", "dx",
                "render_lo", "render_hi")
 _BOOL_KEYS = ("supersample", "quantize", "csv")
 
-_STAGES = ("weights", "phantom", "forward", "recon", "render")
+# Artifact names; a per-gap name takes the gap for {}.
+_WEIGHTS = "weights_k{}.ectw"
+_VOXELS = "phantom.ectv"
+_SWEEP = "sweep.ects"
+_LAYER = "layer_k{}.ectl"
+_LAYER_CSV = "layer_k{}.csv"
+_LAYER_PGM = "layer_k{}.pgm"
 # Largest phantom raster: 2**24 float64 voxels are 128 MiB, and
 # rasterizing holds a few arrays of that size at once.
 _MAX_VOXELS = 1 << 24
@@ -292,12 +300,9 @@ def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _weight_files(cfg):
-    return [f"weights_k{k}.ectw" for k in cfg["gaps"]]
-
-
-def _layer_files(cfg):
-    return [f"layer_k{k}.ectl" for k in cfg["gaps"]]
+def _plain(value):
+    """A config value as JSON writes it: tuples become lists."""
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _stage_weights(cfg, outdir):
@@ -305,13 +310,9 @@ def _stage_weights(cfg, outdir):
                                     eps0=cfg["green_eps0"])
     grids = synthesize_weight(coeffs, cfg["gaps"], x_pad=cfg["x_pad"],
                               z_max=cfg["z_max"], dx=cfg["dx"], dz=cfg["dz"])
-    written = []
     for k, grid in grids.items():
         conditioned = condition_weight(grid, z_cut=cfg["z_cut"])
-        name = f"weights_k{k}.ectw"
-        save_weight(conditioned, outdir / name)
-        written.append(name)
-    return written
+        save_weight(conditioned, outdir / _WEIGHTS.format(k))
 
 
 def _voxel_box(bounds, h):
@@ -337,18 +338,11 @@ def _stage_phantom(cfg, outdir):
         shape, origin = _voxel_box(bounds, h)
         grid = rasterize(spec, tuple(int(n) for n in shape), h, origin,
                          supersample=cfg["supersample"])
-    save_voxels(grid, outdir / "phantom.ectv")
-    return ["phantom.ectv"]
+    save_voxels(grid, outdir / _VOXELS)
 
 
 def _stage_forward(cfg, outdir):
-    grids = {}
-    for k in cfg["gaps"]:
-        path = outdir / f"weights_k{k}.ectw"
-        if not path.exists():
-            raise StageError(f"missing {path.name}; run the weights stage "
-                             "first")
-        grids[k] = load_weight(path)
+    grids = {k: load_weight(outdir / _WEIGHTS.format(k)) for k in cfg["gaps"]}
     spec = parse_phantom(cfg["phantom_text"])
     geometry = SensorGeometry(n=cfg["n"], pitch=cfg["pitch"],
                               n_angles=cfg["n_angles"],
@@ -356,100 +350,110 @@ def _stage_forward(cfg, outdir):
     sino = simulate_sweep(spec, grids, geometry)
     if cfg["quantize"]:
         sino = quantize(sino, cfg["quant_delta"] or None)
-    save_sinogram(sino, outdir / "sweep.ects")
-    return ["sweep.ects"]
+    save_sinogram(sino, outdir / _SWEEP)
 
 
 def _stage_recon(cfg, outdir):
-    path = outdir / "sweep.ects"
-    if not path.exists():
-        raise StageError("missing sweep.ects; run the forward stage first")
-    sino = load_sinogram(path)
+    sino = load_sinogram(outdir / _SWEEP)
+    if sino.geometry.gaps != cfg["gaps"]:
+        raise StageError(f"{_SWEEP} holds gaps {sino.geometry.gaps}, not "
+                         f"{cfg['gaps']}; run the forward stage first")
     spec = FilterSpec(window=cfg["window"],
                       interpolation=cfg["interpolation"],
                       size=cfg["image_size"], pixel_pitch=cfg["pixel_mm"])
     stack = reconstruct_layers(sino, spec)
-    written = []
     for k in stack.gaps:
-        name = f"layer_k{k}.ectl"
-        save_layer(stack.images[k], k, stack.pixel_pitch, outdir / name)
-        written.append(name)
+        save_layer(stack.images[k], k, stack.pixel_pitch,
+                   outdir / _LAYER.format(k))
         if cfg["csv"]:
-            csv_name = f"layer_k{k}.csv"
-            export_layer_csv(stack.images[k], outdir / csv_name)
-            written.append(csv_name)
-    return written
+            export_layer_csv(stack.images[k], outdir / _LAYER_CSV.format(k))
 
 
 def _stage_render(cfg, outdir):
-    written = []
     for k in cfg["gaps"]:
-        path = outdir / f"layer_k{k}.ectl"
-        if not path.exists():
-            raise StageError(f"missing {path.name}; run the recon stage "
-                             "first")
-        _, _, image = load_layer(path)
-        name = f"layer_k{k}.pgm"
-        render_pgm(image, outdir / name, mode=cfg["render"],
+        _, _, image = load_layer(outdir / _LAYER.format(k))
+        render_pgm(image, outdir / _LAYER_PGM.format(k), mode=cfg["render"],
                    lo=cfg["render_lo"], hi=cfg["render_hi"])
-        written.append(name)
-    return written
 
 
-def _stage_key(cfg, stage, artifacts):
-    params = {"stage": stage}
-    if stage == "weights":
-        keys = ("green_order", "green_eps0", "x_pad", "z_max", "dx", "dz",
-                "z_cut", "gaps")
-    elif stage == "phantom":
-        keys = ("voxel_dx", "supersample")
+def _per_gap(pattern):
+    return lambda cfg: [pattern.format(k) for k in cfg["gaps"]]
+
+
+def _layer_outputs(cfg):
+    patterns = (_LAYER, _LAYER_CSV) if cfg["csv"] else (_LAYER,)
+    return [pattern.format(k) for k in cfg["gaps"] for pattern in patterns]
+
+
+class _Stage(NamedTuple):
+    help: str               # subcommand help
+    keys: tuple             # config keys in the stage's cache key
+    hashes_phantom: bool    # the cache key covers the phantom text
+    inputs: Callable        # cfg -> files read from earlier stages
+    outputs: Callable       # cfg -> files written
+    run: Callable           # (cfg, outdir) -> None; writes the outputs
+
+
+# The stages in pipeline order.  Each run function looks up the library
+# calls it makes in this module at call time, so a name rebound here (as
+# the benchmark's tracer does) is the one that runs.
+_STAGE_TABLE = {
+    "weights": _Stage(
+        "synthesize and condition sensitivity weights",
+        ("green_order", "green_eps0", "x_pad", "z_max", "dx", "dz", "z_cut",
+         "gaps"),
+        False, lambda cfg: [], _per_gap(_WEIGHTS), _stage_weights),
+    "phantom": _Stage(
+        "rasterize the phantom to a voxel file", ("voxel_dx", "supersample"),
+        True, lambda cfg: [], lambda cfg: [_VOXELS], _stage_phantom),
+    "forward": _Stage(
+        "simulate the rotating sweep",
+        ("n", "pitch", "n_angles", "standoff", "gaps", "quantize",
+         "quant_delta"),
+        True, _per_gap(_WEIGHTS), lambda cfg: [_SWEEP], _stage_forward),
+    "recon": _Stage(
+        "reconstruct depth layers",
+        ("window", "interpolation", "image_size", "pixel_mm", "csv"),
+        False, lambda cfg: [_SWEEP], _layer_outputs, _stage_recon),
+    "render": _Stage(
+        "render layers to 16-bit PGM images",
+        ("render", "render_lo", "render_hi"),
+        False, _per_gap(_LAYER), _per_gap(_LAYER_PGM), _stage_render),
+}
+
+
+def _stage_key(cfg, name, artifacts):
+    stage = _STAGE_TABLE[name]
+    params = {"stage": name, **{key: _plain(cfg[key]) for key in stage.keys}}
+    if stage.hashes_phantom:
         params["phantom_sha256"] = hashlib.sha256(
             cfg["phantom_text"].encode("utf-8")).hexdigest()
-    elif stage == "forward":
-        keys = ("n", "pitch", "n_angles", "standoff", "gaps", "quantize",
-                "quant_delta")
-        params["phantom_sha256"] = hashlib.sha256(
-            cfg["phantom_text"].encode("utf-8")).hexdigest()
-        params["inputs"] = {name: artifacts[name]
-                            for name in _weight_files(cfg)}
-    elif stage == "recon":
-        keys = ("window", "interpolation", "image_size", "pixel_mm", "csv")
-        params["inputs"] = {"sweep.ects": artifacts["sweep.ects"]}
-    elif stage == "render":
-        keys = ("render", "render_lo", "render_hi")
-        params["inputs"] = {name: artifacts[name]
-                            for name in _layer_files(cfg)}
-    else:
-        raise ValueError(f"unknown stage {stage}")
-    for key in keys:
-        value = cfg[key]
-        params[key] = list(value) if isinstance(value, tuple) else value
+    if stage.inputs(cfg):
+        params["inputs"] = {n: artifacts[n] for n in stage.inputs(cfg)}
     blob = json.dumps(params, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
 
 def _load_cache(outdir):
-    path = outdir / "cache.json"
-    if not path.exists():
-        return {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(outdir / "cache.json", "r", encoding="utf-8") as fh:
             cache = json.load(fh)
-        return cache if isinstance(cache, dict) else {}
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):
         return {}
+    return cache if isinstance(cache, dict) else {}
 
 
-def _run_stage(cfg, stage, outdir):
-    if stage == "weights":
-        return _stage_weights(cfg, outdir)
-    if stage == "phantom":
-        return _stage_phantom(cfg, outdir)
-    if stage == "forward":
-        return _stage_forward(cfg, outdir)
-    if stage == "recon":
-        return _stage_recon(cfg, outdir)
-    return _stage_render(cfg, outdir)
+def _run_stage(cfg, name, outdir):
+    """Run one stage after checking its inputs; returns its output names."""
+    stage = _STAGE_TABLE[name]
+    for needed in stage.inputs(cfg):
+        if not (outdir / needed).exists():
+            producer = next(other for other, record in _STAGE_TABLE.items()
+                            if needed in record.outputs(cfg))
+            raise StageError(f"missing {needed}; run the {producer} stage "
+                             "first")
+    stage.run(cfg, outdir)
+    return stage.outputs(cfg)
 
 
 def run_pipeline(cfg, echo=print):
@@ -459,60 +463,45 @@ def run_pipeline(cfg, echo=print):
     cache = _load_cache(outdir)
     artifacts = {}
     manifest_stages = []
-    for stage in _STAGES:
-        key = _stage_key(cfg, stage, artifacts)
-        entry = cache.get(stage)
-        cached = (entry is not None and entry.get("key") == key
-                  and all((outdir / name).exists()
-                          and _sha256(outdir / name) == digest
-                          for name, digest in entry["outputs"].items()))
+    for name, stage in _STAGE_TABLE.items():
+        key = _stage_key(cfg, name, artifacts)
+        entry = cache.get(name)
+        # a malformed entry is a miss; one that lists other files than the
+        # stage's outputs is too, so no other file is hashed
+        cached = (isinstance(entry, dict) and entry.get("key") == key
+                  and isinstance(entry.get("outputs"), dict)
+                  and set(entry["outputs"]) == set(stage.outputs(cfg))
+                  and all((outdir / output).exists()
+                          and _sha256(outdir / output) == digest
+                          for output, digest in entry["outputs"].items()))
         start = time.perf_counter()
         if cached:
-            outputs = dict(cache[stage]["outputs"])
+            outputs = dict(entry["outputs"])
         else:
             try:
-                written = _run_stage(cfg, stage, outdir)
-            except StageError:
-                raise
+                written = _run_stage(cfg, name, outdir)
             except Exception as exc:
-                for name in _expected_outputs(cfg, stage):
-                    target = outdir / name
-                    if target.exists():
-                        target.unlink()
-                cache.pop(stage, None)
+                for output in stage.outputs(cfg):
+                    (outdir / output).unlink(missing_ok=True)
+                cache.pop(name, None)
                 _write_cache(outdir, cache)
-                raise StageError(f"{stage} stage failed: {exc}") from exc
-            outputs = {name: _sha256(outdir / name) for name in written}
-            cache[stage] = {"key": key, "outputs": outputs}
+                raise StageError(f"{name} stage failed: {exc}") from exc
+            outputs = {output: _sha256(outdir / output) for output in written}
+            cache[name] = {"key": key, "outputs": outputs}
             _write_cache(outdir, cache)
         seconds = time.perf_counter() - start
         artifacts.update(outputs)
-        manifest_stages.append({"name": stage, "key": key, "cached": cached,
+        manifest_stages.append({"name": name, "key": key, "cached": cached,
                                 "seconds": round(seconds, 6),
                                 "outputs": outputs})
         if echo:
             state = "cached" if cached else f"{seconds:.2f}s"
-            echo(f"{stage}: {state}")
+            echo(f"{name}: {state}")
     manifest = {"config": _manifest_config(cfg), "stages": manifest_stages}
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
-
-
-def _expected_outputs(cfg, stage):
-    if stage == "weights":
-        return _weight_files(cfg)
-    if stage == "phantom":
-        return ["phantom.ectv"]
-    if stage == "forward":
-        return ["sweep.ects"]
-    if stage == "recon":
-        names = _layer_files(cfg)
-        if cfg["csv"]:
-            names = names + [f"layer_k{k}.csv" for k in cfg["gaps"]]
-        return names
-    return [f"layer_k{k}.pgm" for k in cfg["gaps"]]
 
 
 def _write_cache(outdir, cache):
@@ -522,11 +511,7 @@ def _write_cache(outdir, cache):
 
 
 def _manifest_config(cfg):
-    out = {}
-    for key in _DEFAULTS:
-        value = cfg[key]
-        out[key] = list(value) if isinstance(value, tuple) else value
-    return out
+    return {key: _plain(cfg[key]) for key in _DEFAULTS}
 
 
 def main(argv=None):
@@ -534,14 +519,9 @@ def main(argv=None):
         prog="capradon",
         description="synthetic capacitive-sweep imaging pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-            ("weights", "synthesize and condition sensitivity weights"),
-            ("phantom", "rasterize the phantom to a voxel file"),
-            ("forward", "simulate the rotating sweep"),
-            ("recon", "reconstruct depth layers"),
-            ("render", "render layers to 16-bit PGM images"),
-            ("pipeline", "run all stages with caching"),
-    ):
+    commands = [(name, stage.help) for name, stage in _STAGE_TABLE.items()]
+    for name, blurb in commands + [("pipeline",
+                                    "run all stages with caching")]:
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", default=None,
                        help="path to a key=value config file")
@@ -561,8 +541,7 @@ def main(argv=None):
             run_pipeline(cfg)
         else:
             outdir.mkdir(parents=True, exist_ok=True)
-            written = _run_stage(cfg, args.command, outdir)
-            for name in written:
+            for name in _run_stage(cfg, args.command, outdir):
                 print(outdir / name)
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)

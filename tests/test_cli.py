@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from capradon import cli
 from capradon.cli import (
     ConfigError,
     main,
@@ -244,8 +246,114 @@ def test_stage_failures_exit_3(tmp_path, capsys):
 
 
 def test_missing_prerequisite_exits_3(tmp_path, capsys):
-    assert main(["forward"] + small_args(tmp_path, outdir="fresh")) == 3
-    assert "weights" in capsys.readouterr().err
+    # each stage names the stage that writes its first missing input
+    for command, missing, producer in (
+            ("forward", "weights_k1.ectw", "weights"),
+            ("recon", "sweep.ects", "forward"),
+            ("render", "layer_k1.ectl", "recon")):
+        assert main([command] + small_args(tmp_path, outdir="fresh")) == 3
+        assert (f"missing {missing}; run the {producer} stage first"
+                in capsys.readouterr().err), command
+
+
+def test_recon_rejects_a_sweep_of_other_gaps(tmp_path, capsys):
+    # the recon stage writes the layers of the configured gaps, so a sweep
+    # made for other gaps is a stale input
+    assert main(["pipeline"] + small_args(tmp_path)) == 0
+    capsys.readouterr()
+    assert main(["recon"] + small_args(tmp_path, gaps="1")) == 3
+    assert "run the forward stage first" in capsys.readouterr().err
+
+
+# hex digests of the default config's stage keys, with each input artifact's
+# digest replaced by the digest of its name so that the keys do not depend
+# on floating-point results
+DEFAULT_STAGE_KEYS = {
+    "weights": "54b16a3b7c5d335c9d25c92975c515fbf7789eb696a3ffdc600f767c4345479d",
+    "phantom": "07de8409bcad1ea6028ea905f154e905503db05a46cfa758e8ca983b3835716d",
+    "forward": "f4448cdd65b58862fdda25303ac323cfb336767eb61d43a253b4b5862e0969f4",
+    "recon": "51686cd46ea5b932fddba166017f5bc20939dc54e1e2a8f0f02d4376235ac584",
+    "render": "58e5da0a0625ede8cf3c521fa85193bf8c04b856401073126b70b431b5c715dd",
+}
+
+
+def test_default_stage_keys_are_pinned():
+    # cache.json written by one version must keep hitting in the next: a
+    # key that changes reruns every stage of every existing outdir
+    cfg = resolve_config()
+    names = ([f"weights_k{k}.ectw" for k in cfg["gaps"]]
+             + ["phantom.ectv", "sweep.ects"]
+             + [f"layer_k{k}.ectl" for k in cfg["gaps"]])
+    artifacts = {name: hashlib.sha256(name.encode("ascii")).hexdigest()
+                 for name in names}
+    keys = {stage: cli._stage_key(cfg, stage, artifacts)
+            for stage in DEFAULT_STAGE_KEYS}
+    assert keys == DEFAULT_STAGE_KEYS
+
+
+def _drop_outputs(entry, cache):
+    del entry["outputs"]
+    return entry
+
+
+def _no_outputs(entry, cache):
+    entry["outputs"] = {}
+    return entry
+
+
+def _outputs_as_list(entry, cache):
+    entry["outputs"] = sorted(entry["outputs"])
+    return entry
+
+
+def _list_entry(entry, cache):
+    return []
+
+
+def _string_entry(entry, cache):
+    return "phantom.ectv"
+
+
+def _foreign_output(entry, cache):
+    # a valid digest of a file that the stage does not write
+    entry["outputs"]["sweep.ects"] = cache["forward"]["outputs"]["sweep.ects"]
+    return entry
+
+
+@pytest.mark.parametrize("stage, corrupt", [
+    ("weights", _no_outputs),
+    ("recon", _list_entry),
+    ("forward", _drop_outputs),
+    ("forward", _outputs_as_list),
+    ("phantom", _string_entry),
+    ("render", _foreign_output),
+])
+def test_malformed_cache_entry_is_a_miss(tmp_path, stage, corrupt):
+    args = small_args(tmp_path)
+    assert main(["pipeline"] + args) == 0
+    outdir = tmp_path / "out"
+    before = artifact_bytes(outdir)
+    path = outdir / "cache.json"
+    cache = json.loads(path.read_text())
+    cache[stage] = corrupt(cache[stage], cache)
+    path.write_text(json.dumps(cache))
+    assert main(["pipeline"] + args) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    cached = {s["name"]: s["cached"] for s in manifest["stages"]}
+    assert cached[stage] is False
+    assert artifact_bytes(outdir) == before
+
+
+def test_undecodable_cache_is_a_miss(tmp_path):
+    args = small_args(tmp_path)
+    assert main(["pipeline"] + args) == 0
+    outdir = tmp_path / "out"
+    before = artifact_bytes(outdir)
+    (outdir / "cache.json").write_bytes(b"\xff\xfe{}")
+    assert main(["pipeline"] + args) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert not any(s["cached"] for s in manifest["stages"])
+    assert artifact_bytes(outdir) == before
 
 
 def _benchmark_spans():
@@ -260,13 +368,19 @@ def _benchmark_spans():
 def test_benchmark_trace_targets_are_called(tmp_path):
     # the benchmark traces the names the pipeline calls through; a renamed
     # or bypassed target silently drops its per-layer metrics
-    rec = _benchmark_spans().Recorder()
+    spans = _benchmark_spans()
+    rec = spans.Recorder()
     assert rec.absent == []
     rec.install()
     try:
-        assert main(["pipeline", "--set", f"outdir={tmp_path / 'out'}"]) == 0
+        assert main(["pipeline", "--set", "csv=1",
+                     "--set", f"outdir={tmp_path / 'out'}"]) == 0
     finally:
         rec.uninstall()
+    # one cold run with CSV export calls every traced target
+    wanted = {span for _, _, span, _ in spans.FUNCTION_TARGETS}
+    wanted |= {span for _, span, _ in spans.METHOD_TARGETS}
+    assert wanted - {span[0] for span in rec.spans} == set()
     synth = [i for i, span in enumerate(rec.spans)
              if span[0] == "weights.synth"]
     potential = [span for span in rec.spans

@@ -47,6 +47,16 @@ def test_parse_round_trip(mixed_spec):
     assert parse_phantom(text) == mixed_spec
 
 
+def test_format_bytes_are_pinned(mixed_spec):
+    # the text's digest is stored in every sweep.ects as phantom_sha256
+    assert format_phantom(mixed_spec) == (
+        "box 0.5 -0.3 4.0 2.9 1.7 1.3 30.0 2.0\n"
+        "cylinder 1.0 2.0 3.0 5.0 1.2 1.5\n"
+        "sphere -1.0 0.5 4.0 1.1 3.0\n"
+        "polygon 3.5 4.5 2.5 -1.0 -1.0 2.0 -0.5 0.5 2.0\n")
+    assert format_phantom(PhantomSpec()) == ""
+
+
 def test_parse_comments_and_blanks():
     text = """
     # leading comment
