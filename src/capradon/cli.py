@@ -272,6 +272,8 @@ def read_pgm(path):
     tokens = []
     pos = 0
     while len(tokens) < 4:
+        if pos >= len(blob):
+            raise ValueError("PGM header is truncated")
         if blob[pos:pos + 1] == b"#":
             end = blob.index(b"\n", pos)
             comments.append(blob[pos + 1:end].decode("ascii").strip())
@@ -280,7 +282,7 @@ def read_pgm(path):
             pos += 1
         else:
             end = pos
-            while not blob[end:end + 1].isspace():
+            while end < len(blob) and not blob[end:end + 1].isspace():
                 end += 1
             tokens.append(blob[pos:end].decode("ascii"))
             pos = end

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .framing import read_header, read_samples
 from .phantom import (
     PhantomSpec,
     format_phantom,
@@ -323,14 +324,8 @@ def save_sinogram(sino, path):
 def load_sinogram(path):
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < _ECTS_HEADER.size:
-        raise SinogramFileError("file shorter than the ECTS header")
-    magic, version, n, p, pitch, standoff, quant_delta, n_gaps = \
-        _ECTS_HEADER.unpack_from(blob)
-    if magic != _ECTS_MAGIC:
-        raise SinogramFileError(f"bad magic {magic!r}")
-    if version != _ECTS_VERSION:
-        raise SinogramFileError(f"unsupported version {version}")
+    n, p, pitch, standoff, quant_delta, n_gaps = read_header(
+        blob, _ECTS_HEADER, _ECTS_MAGIC, _ECTS_VERSION, SinogramFileError)
     offset = _ECTS_HEADER.size
     data = {}
     for _ in range(n_gaps):
@@ -342,13 +337,9 @@ def load_sinogram(path):
             raise SinogramFileError(f"duplicate gap {k}")
         if not 1 <= k <= 2 * n:
             raise SinogramFileError(f"gap {k} outside 1..{2 * n}")
-        count = p * (2 * n + 1 - k)
-        end = offset + 4 * count
-        if end > len(blob):
-            raise SinogramFileError(f"truncated payload for gap {k}")
-        data[k] = np.frombuffer(blob[offset:end], dtype="<f4").astype(
-            float).reshape(p, 2 * n + 1 - k)
-        offset = end
+        data[k], offset = read_samples(blob, offset, (p, 2 * n + 1 - k),
+                                       SinogramFileError,
+                                       what=f"gap {k} payload", tail=True)
     metadata = {}
     try:
         tail = blob[offset:].decode("utf-8")

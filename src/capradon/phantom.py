@@ -4,7 +4,7 @@ A phantom is an ordered list of primitives (boxes, z-axis cylinders,
 spheres, extruded polygons) over a background of 1; where primitives
 overlap, the last one listed wins.  All coordinates are millimetres.
 Analytic evaluation is exact at arbitrary points and along lines; voxel
-grids exist for file interchange and externally supplied fields.
+grids exist for file interchange.
 
 Lines follow the sensor-frame convention of the forward model: the line
 with signed offset s at angle theta is (s*cos(theta) - t*sin(theta),
@@ -23,9 +23,13 @@ components, between which "last listed wins" never applies.
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from .framing import read_header, read_samples
 
 __all__ = [
     "Box",
@@ -38,14 +42,10 @@ __all__ = [
     "GridCoverageError",
     "VoxelFileError",
     "parse_phantom",
-    "load_phantom",
     "format_phantom",
     "eval_permittivity",
     "line_integrals",
     "overlap_clusters",
-    "rotated_z",
-    "translated",
-    "mirrored_x",
     "rasterize",
     "save_voxels",
     "load_voxels",
@@ -403,109 +403,56 @@ def overlap_clusters(spec):
     return [PhantomSpec(m) for m in members.values()]
 
 
-def rotated_z(spec, angle):
-    """Spec rotated by `angle` radians about the z axis through the origin."""
-    c, s = np.cos(angle), np.sin(angle)
-
-    def rot(px, py):
-        return (c * px - s * py, s * px + c * py)
-
-    prims = []
-    for p in spec.primitives:
-        if isinstance(p, Box):
-            nx, ny = rot(p.center[0], p.center[1])
-            prims.append(replace(p, center=(nx, ny, p.center[2]),
-                                 angle_deg=p.angle_deg + np.rad2deg(angle)))
-        elif isinstance(p, Cylinder):
-            nx, ny = rot(p.cx, p.cy)
-            prims.append(replace(p, cx=nx, cy=ny))
-        elif isinstance(p, Sphere):
-            nx, ny = rot(p.center[0], p.center[1])
-            prims.append(replace(p, center=(nx, ny, p.center[2])))
-        elif isinstance(p, ExtrudedPolygon):
-            prims.append(replace(p, vertices=tuple(rot(a, b)
-                                                   for a, b in p.vertices)))
-        else:
-            raise TypeError(f"unknown primitive {type(p).__name__}")
-    return PhantomSpec(tuple(prims))
+class _Kind(NamedTuple):
+    cls: type
+    usage: str              # the fields, in the order of the text format
+    takes: Callable         # number count -> whether the kind takes it
+    build: Callable         # numbers -> primitive
+    numbers: Callable       # primitive -> numbers
 
 
-def translated(spec, dx, dy, dz=0.0):
-    """Spec translated by (dx, dy, dz) mm."""
-    prims = []
-    for p in spec.primitives:
-        if isinstance(p, Box):
-            cx, cy, cz = p.center
-            prims.append(replace(p, center=(cx + dx, cy + dy, cz + dz)))
-        elif isinstance(p, Cylinder):
-            prims.append(replace(p, cx=p.cx + dx, cy=p.cy + dy,
-                                 z_lo=p.z_lo + dz, z_hi=p.z_hi + dz))
-        elif isinstance(p, Sphere):
-            cx, cy, cz = p.center
-            prims.append(replace(p, center=(cx + dx, cy + dy, cz + dz)))
-        elif isinstance(p, ExtrudedPolygon):
-            prims.append(replace(p,
-                                 vertices=tuple((a + dx, b + dy)
-                                                for a, b in p.vertices),
-                                 z_lo=p.z_lo + dz, z_hi=p.z_hi + dz))
-        else:
-            raise TypeError(f"unknown primitive {type(p).__name__}")
-    return PhantomSpec(tuple(prims))
-
-
-def mirrored_x(spec):
-    """Spec reflected through the plane x = 0."""
-    prims = []
-    for p in spec.primitives:
-        if isinstance(p, Box):
-            cx, cy, cz = p.center
-            prims.append(replace(p, center=(-cx, cy, cz),
-                                 angle_deg=-p.angle_deg))
-        elif isinstance(p, Cylinder):
-            prims.append(replace(p, cx=-p.cx))
-        elif isinstance(p, Sphere):
-            cx, cy, cz = p.center
-            prims.append(replace(p, center=(-cx, cy, cz)))
-        elif isinstance(p, ExtrudedPolygon):
-            prims.append(replace(p, vertices=tuple((-a, b)
-                                                   for a, b in p.vertices)))
-        else:
-            raise TypeError(f"unknown primitive {type(p).__name__}")
-    return PhantomSpec(tuple(prims))
+# One record per keyword of the text format, for parsing and formatting.
+_KINDS = {
+    "box": _Kind(
+        Box, "cx cy cz hx hy hz theta_deg eps_r", lambda n: n == 8,
+        lambda v: Box(center=tuple(v[0:3]), half_extents=tuple(v[3:6]),
+                      angle_deg=v[6], contrast=v[7]),
+        lambda p: (*p.center, *p.half_extents, p.angle_deg, p.contrast)),
+    "cylinder": _Kind(
+        Cylinder, "cx cy z0 z1 r eps_r", lambda n: n == 6,
+        lambda v: Cylinder(cx=v[0], cy=v[1], z_lo=v[2], z_hi=v[3],
+                           radius=v[4], contrast=v[5]),
+        lambda p: (p.cx, p.cy, p.z_lo, p.z_hi, p.radius, p.contrast)),
+    "sphere": _Kind(
+        Sphere, "cx cy cz r eps_r", lambda n: n == 5,
+        lambda v: Sphere(center=tuple(v[0:3]), radius=v[3], contrast=v[4]),
+        lambda p: (*p.center, p.radius, p.contrast)),
+    "polygon": _Kind(
+        ExtrudedPolygon, "z0 z1 eps_r x1 y1 x2 y2 x3 y3 ...",
+        lambda n: n >= 9 and n % 2 == 1,
+        lambda v: ExtrudedPolygon(vertices=tuple(zip(v[3::2], v[4::2])),
+                                  z_lo=v[0], z_hi=v[1], contrast=v[2]),
+        lambda p: (p.z_lo, p.z_hi, p.contrast,
+                   *(c for vertex in p.vertices for c in vertex))),
+}
+_KEYWORDS = {kind.cls: keyword for keyword, kind in _KINDS.items()}
 
 
 def _parse_line(lineno, tokens):
-    kind = tokens[0].lower()
+    keyword = tokens[0].lower()
     try:
         nums = [float(t) for t in tokens[1:]]
     except ValueError as exc:
         raise PhantomParseError(f"line {lineno}: bad number ({exc})") from None
+    kind = _KINDS.get(keyword)
+    if kind is None:
+        raise PhantomParseError(f"line {lineno}: unknown primitive {keyword!r}")
     try:
-        if kind == "box":
-            if len(nums) != 8:
-                raise ValueError("box needs cx cy cz hx hy hz theta_deg eps_r")
-            return Box(center=tuple(nums[0:3]), half_extents=tuple(nums[3:6]),
-                       angle_deg=nums[6], contrast=nums[7])
-        if kind == "cylinder":
-            if len(nums) != 6:
-                raise ValueError("cylinder needs cx cy z0 z1 r eps_r")
-            return Cylinder(cx=nums[0], cy=nums[1], z_lo=nums[2], z_hi=nums[3],
-                            radius=nums[4], contrast=nums[5])
-        if kind == "sphere":
-            if len(nums) != 5:
-                raise ValueError("sphere needs cx cy cz r eps_r")
-            return Sphere(center=tuple(nums[0:3]), radius=nums[3],
-                          contrast=nums[4])
-        if kind == "polygon":
-            if len(nums) < 9 or len(nums) % 2 == 0:
-                raise ValueError("polygon needs z0 z1 eps_r x1 y1 x2 y2 x3 y3 ...")
-            coords = nums[3:]
-            verts = tuple(zip(coords[0::2], coords[1::2]))
-            return ExtrudedPolygon(vertices=verts, z_lo=nums[0], z_hi=nums[1],
-                                   contrast=nums[2])
+        if not kind.takes(len(nums)):
+            raise ValueError(f"{keyword} needs {kind.usage}")
+        return kind.build(nums)
     except ValueError as exc:
         raise PhantomParseError(f"line {lineno}: {exc}") from None
-    raise PhantomParseError(f"line {lineno}: unknown primitive {kind!r}")
 
 
 def parse_phantom(text):
@@ -519,30 +466,15 @@ def parse_phantom(text):
     return PhantomSpec(tuple(prims))
 
 
-def load_phantom(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_phantom(fh.read())
-
-
 def format_phantom(spec):
     """Canonical text form; parse(format(spec)) reproduces the spec."""
     lines = []
     for p in spec.primitives:
-        if isinstance(p, Box):
-            lines.append("box %r %r %r %r %r %r %r %r"
-                         % (*p.center, *p.half_extents, p.angle_deg, p.contrast))
-        elif isinstance(p, Cylinder):
-            lines.append("cylinder %r %r %r %r %r %r"
-                         % (p.cx, p.cy, p.z_lo, p.z_hi, p.radius, p.contrast))
-        elif isinstance(p, Sphere):
-            lines.append("sphere %r %r %r %r %r" % (*p.center, p.radius,
-                                                    p.contrast))
-        elif isinstance(p, ExtrudedPolygon):
-            coords = " ".join("%r %r" % v for v in p.vertices)
-            lines.append("polygon %r %r %r %s" % (p.z_lo, p.z_hi, p.contrast,
-                                                  coords))
-        else:
+        keyword = _KEYWORDS.get(type(p))
+        if keyword is None:
             raise TypeError(f"unknown primitive {type(p).__name__}")
+        numbers = _KINDS[keyword].numbers(p)
+        lines.append(" ".join([keyword, *map(repr, numbers)]))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -568,41 +500,6 @@ class VoxelGrid:
             raise ValueError("spacing must be positive and finite")
         if not np.all(vals > 0):
             raise ValueError("permittivity values must be positive")
-
-    @property
-    def shape_xyz(self):
-        nz, ny, nx = self.values.shape
-        return (nx, ny, nz)
-
-    def sample(self, x, y, z):
-        """Trilinear interpolation; outside the grid the background is 1."""
-        nz, ny, nx = self.values.shape
-        padded = np.pad(self.values, 1, constant_values=1.0)
-        out_shape = np.broadcast(np.asarray(x), np.asarray(y), np.asarray(z)).shape
-        coords = []
-        for q, o, s, n in ((x, self.origin[0], self.spacing[0], nx),
-                           (y, self.origin[1], self.spacing[1], ny),
-                           (z, self.origin[2], self.spacing[2], nz)):
-            f = (np.asarray(q, dtype=float) - o) / s - 0.5
-            coords.append(np.broadcast_to(f, out_shape))
-        acc = np.zeros(out_shape)
-        base = [np.floor(f).astype(int) for f in coords]
-        frac = [f - b for f, b in zip(coords, base)]
-        for cz in (0, 1):
-            wz = frac[2] if cz else 1.0 - frac[2]
-            iz = np.clip(base[2] + cz + 1, 0, nz + 1)
-            for cy in (0, 1):
-                wy = frac[1] if cy else 1.0 - frac[1]
-                iy = np.clip(base[1] + cy + 1, 0, ny + 1)
-                for cx in (0, 1):
-                    wx = frac[0] if cx else 1.0 - frac[0]
-                    ix = np.clip(base[0] + cx + 1, 0, nx + 1)
-                    acc += wz * wy * wx * padded[iz, iy, ix]
-        # a full voxel beyond the border is pure background
-        far = ((coords[0] < -1) | (coords[0] > nx) | (coords[1] < -1)
-               | (coords[1] > ny) | (coords[2] < -1) | (coords[2] > nz))
-        acc = np.where(far, 1.0, acc)
-        return acc.item() if acc.ndim == 0 else acc
 
 
 def rasterize(spec, shape, spacing, origin, supersample=False):
@@ -659,15 +556,10 @@ def save_voxels(grid, path):
 def load_voxels(path):
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < _ECTV_HEADER.size:
-        raise VoxelFileError("file shorter than the ECTV header")
-    magic, nx, ny, nz, sx, sy, sz, ox, oy, oz = _ECTV_HEADER.unpack_from(blob)
-    if magic != _ECTV_MAGIC:
-        raise VoxelFileError(f"bad magic {magic!r}")
-    payload = blob[_ECTV_HEADER.size:]
-    if len(payload) != 4 * nx * ny * nz:
-        raise VoxelFileError("payload length does not match dimensions")
-    values = np.frombuffer(payload, dtype="<f4").reshape(nz, ny, nx)
+    nx, ny, nz, sx, sy, sz, ox, oy, oz = read_header(
+        blob, _ECTV_HEADER, _ECTV_MAGIC, None, VoxelFileError)
+    values, _ = read_samples(blob, _ECTV_HEADER.size, (nz, ny, nx),
+                             VoxelFileError)
     try:
         return VoxelGrid(values=values, spacing=(sx, sy, sz),
                          origin=(ox, oy, oz))

@@ -11,11 +11,13 @@ electrode site, so rows are resampled onto the shared 2n+1 site lattice
 before filtering; layers of a stack therefore share one image frame.
 """
 
-import csv
 import struct
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .framing import read_header, read_samples
 
 __all__ = [
     "WINDOWS",
@@ -266,36 +268,35 @@ def load_layer(path):
     """Read one layer; returns (gap, pixel_pitch, image)."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < _ECTL_HEADER.size:
-        raise LayerFileError("file shorter than the ECTL header")
-    magic, version, gap, size, pitch = _ECTL_HEADER.unpack_from(blob)
-    if magic != _ECTL_MAGIC:
-        raise LayerFileError(f"bad magic {magic!r}")
-    if version != _ECTL_VERSION:
-        raise LayerFileError(f"unsupported version {version}")
+    gap, size, pitch = read_header(blob, _ECTL_HEADER, _ECTL_MAGIC,
+                                   _ECTL_VERSION, LayerFileError)
     if size < 1 or not 0 < pitch < np.inf:
         raise LayerFileError(f"bad frame: size {size}, pitch {pitch}")
-    payload = blob[_ECTL_HEADER.size:]
-    if len(payload) != 4 * size * size:
-        raise LayerFileError("payload length does not match size")
-    image = np.frombuffer(payload, dtype="<f4").astype(float).reshape(size,
-                                                                      size)
+    image, _ = read_samples(blob, _ECTL_HEADER.size, (size, size),
+                            LayerFileError)
     return gap, pitch, image
 
 
 def export_layer_csv(image, path):
+    """Write the image as comma-separated rows of shortest-repr floats."""
     image = np.asarray(image, dtype=float)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        for row in image.tolist():
-            fh.write(",".join(map(repr, row)) + "\r\n")
+        for row in image:
+            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def import_layer_csv(path):
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        try:
-            rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-        except (ValueError, csv.Error) as exc:
-            raise LayerFileError(f"bad layer CSV: {exc}") from None
-    if len({len(row) for row in rows}) > 1:
-        raise LayerFileError("layer CSV rows differ in length")
-    return np.array(rows)
+    """Read a layer CSV back; the table must be square and finite."""
+    try:
+        with warnings.catch_warnings():
+            # numpy warns on an empty file; it reads as (0, 1), not square
+            warnings.simplefilter("ignore", UserWarning)
+            image = np.loadtxt(path, delimiter=",", ndmin=2, comments=None,
+                               encoding="utf-8")
+    except ValueError as exc:
+        raise LayerFileError(f"bad layer CSV: {exc}") from None
+    if image.shape[0] != image.shape[1]:
+        raise LayerFileError(f"layer CSV is not square: {image.shape}")
+    if not np.isfinite(image).all():
+        raise LayerFileError("layer CSV holds non-finite values")
+    return image

@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .framing import read_header, read_samples
 from .greenfn import eval_potential
 
 __all__ = [
@@ -191,18 +192,9 @@ def load_weight(path):
     """Read an ECTW file back into a WeightGrid (values promoted to f64)."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise WeightFileError("file shorter than the ECTW header")
-    magic, version, gap, nx, nz, dx, dz, x0, z0, scale, z_cut = \
-        _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise WeightFileError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    if version != _VERSION:
-        raise WeightFileError(f"unsupported version {version}")
-    payload = blob[_HEADER.size:]
-    if len(payload) != 4 * nx * nz:
-        raise WeightFileError("payload length does not match nx*nz")
-    values = np.frombuffer(payload, dtype="<f4").reshape(nz, nx)
+    gap, nx, nz, dx, dz, x0, z0, scale, z_cut = read_header(
+        blob, _HEADER, _MAGIC, _VERSION, WeightFileError)
+    values, _ = read_samples(blob, _HEADER.size, (nz, nx), WeightFileError)
     try:
         return WeightGrid(gap=gap, dx=dx, dz=dz, x_origin=x0, z_origin=z0,
                           values=values, scale=scale, z_cut=z_cut)

@@ -27,11 +27,12 @@ from capradon import cli, greenfn, phantom, recon, weights
 from capradon.forward import SensorGeometry, quantize, simulate_sweep
 from capradon.greenfn import (build_system, eval_green, eval_potential,
                               potential_coefficients, solve_coefficients)
-from capradon.phantom import Box, Cylinder, PhantomSpec, parse_phantom, translated
+from capradon.phantom import Box, Cylinder, PhantomSpec, parse_phantom
 from capradon.recon import FilterSpec, backproject, filter_sinogram, reconstruct_layers
 from capradon.weights import condition_weight, depth_profile, synthesize_weight
 
 from strip_oracle import strip_weight
+from symmetry_oracle import translated
 
 PITCH = 2.5
 STANDOFF = 2.0

@@ -1,11 +1,16 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import capradon
 from capradon import cli
 from capradon.cli import (
     ConfigError,
@@ -135,6 +140,46 @@ def test_render_pgm_fixed_clips(tmp_path):
     with pytest.raises(ValueError):
         render_pgm(np.zeros((2, 2)), path, mode="fixed", lo=1.0, hi=1.0)
 
+
+
+def test_read_pgm_rejects_every_header_prefix(tmp_path):
+    # a token scan that does not stop at the end of a truncated header
+    # never returns, so the reads run in a thread that must finish in time
+    path = tmp_path / "img.pgm"
+    render_pgm(np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]), path)
+    blob = path.read_bytes()
+    header = blob[:len(blob) - 12]
+    assert header.endswith(b"\n65535\n")
+    outcomes = []
+
+    def read_prefixes():
+        for end in range(len(header) + 1):
+            path.write_bytes(header[:end])
+            try:
+                read_pgm(path)
+            except ValueError:
+                outcomes.append(None)
+            else:
+                outcomes.append(end)
+
+    reader = threading.Thread(target=read_prefixes, daemon=True)
+    reader.start()
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert outcomes == [None] * (len(header) + 1)
+
+
+def test_import_leaves_csv_unloaded():
+    # the layer CSV is written and read with numpy alone; a fresh process
+    # shows what importing the CLI costs
+    src = str(Path(capradon.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, capradon.cli; print('csv' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 def test_pipeline_smoke(tmp_path):
     assert main(["pipeline"] + small_args(tmp_path)) == 0

@@ -25,13 +25,12 @@ from capradon.phantom import (
     PhantomSpec,
     Sphere,
     eval_permittivity,
-    mirrored_x,
     overlap_clusters,
-    translated,
 )
 from capradon.weights import condition_weight, synthesize_weight
 
 from midpoint_oracle import project_slice
+from symmetry_oracle import mirrored_x, translated
 
 
 @pytest.fixture(scope="module")

@@ -19,15 +19,14 @@ from capradon.phantom import (
     format_phantom,
     line_integrals,
     load_voxels,
-    mirrored_x,
     overlap_clusters,
     pack_voxels,
     parse_phantom,
     rasterize,
-    rotated_z,
     save_voxels,
-    translated,
 )
+
+from symmetry_oracle import mirrored_x, rotated_z, translated
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +54,46 @@ def test_format_bytes_are_pinned(mixed_spec):
         "sphere -1.0 0.5 4.0 1.1 3.0\n"
         "polygon 3.5 4.5 2.5 -1.0 -1.0 2.0 -0.5 0.5 2.0\n")
     assert format_phantom(PhantomSpec()) == ""
+
+
+_coord = st.floats(-1e6, 1e6)
+_size = st.floats(1e-3, 1e3)
+_z_range = st.tuples(_coord, _size).map(lambda zh: (zh[0], zh[0] + zh[1]))
+_primitive = st.one_of(
+    st.builds(Box, center=st.tuples(_coord, _coord, _coord),
+              half_extents=st.tuples(_size, _size, _size), angle_deg=_coord,
+              contrast=_size),
+    st.builds(lambda c, z, r, eps: Cylinder(*c, *z, r, eps),
+              st.tuples(_coord, _coord), _z_range, _size, _size),
+    st.builds(Sphere, center=st.tuples(_coord, _coord, _coord), radius=_size,
+              contrast=_size),
+    st.builds(lambda v, z, eps: ExtrudedPolygon(v, *z, eps),
+              st.lists(st.tuples(_coord, _coord), min_size=3, max_size=6)
+              .map(tuple), _z_range, _size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(prims=st.lists(_primitive, max_size=5))
+def test_format_parse_round_trip_all_kinds(prims):
+    spec = PhantomSpec(prims)
+    assert parse_phantom(format_phantom(spec)) == spec
+
+
+_POLYGON_USAGE = "polygon needs z0 z1 eps_r x1 y1 x2 y2 x3 y3 ..."
+
+
+@pytest.mark.parametrize("line, message", [
+    ("box 0 0 0 1 1 1 0", "box needs cx cy cz hx hy hz theta_deg eps_r"),
+    ("cylinder 0 0 0 1 1 2 3", "cylinder needs cx cy z0 z1 r eps_r"),
+    ("sphere 0 0 1 2", "sphere needs cx cy cz r eps_r"),
+    ("polygon 0 1 2 0 0 1 0", _POLYGON_USAGE),
+    ("polygon 0 1 2 0 0 1 0 1 1 2", _POLYGON_USAGE),
+    ("Torus 0 0 0 1 2", "unknown primitive 'torus'"),
+])
+def test_parse_error_messages_are_pinned(line, message):
+    with pytest.raises(PhantomParseError) as info:
+        parse_phantom(f"# c\n{line}\n")
+    assert str(info.value) == f"line 2: {message}"
 
 
 def test_parse_comments_and_blanks():
@@ -430,30 +469,6 @@ def test_voxel_grid_validation():
                   origin=(0, 0, 0))
 
 
-def test_trilinear_sample_hits_centers():
-    rng = np.random.default_rng(3)
-    values = rng.uniform(1.0, 3.0, size=(4, 5, 6))
-    grid = VoxelGrid(values=values, spacing=(0.5, 0.4, 0.3), origin=(1, 2, 3))
-    ix, iy, iz = 2, 3, 1
-    x = 1 + 0.5 * (ix + 0.5)
-    y = 2 + 0.4 * (iy + 0.5)
-    z = 3 + 0.3 * (iz + 0.5)
-    assert grid.sample(x, y, z) == pytest.approx(values[iz, iy, ix], abs=1e-12)
-    # midway between two centers along x gives their average
-    mid = grid.sample(x + 0.25, y, z)
-    assert mid == pytest.approx(0.5 * (values[iz, iy, ix]
-                                       + values[iz, iy, ix + 1]), abs=1e-12)
-
-
-def test_trilinear_sample_outside_is_background():
-    grid = VoxelGrid(values=np.full((3, 3, 3), 2.0), spacing=(1, 1, 1),
-                     origin=(0, 0, 0))
-    assert grid.sample(-5.0, 1.5, 1.5) == 1.0
-    assert grid.sample(1.5, 1.5, 50.0) == 1.0
-    vals = grid.sample(np.array([1.5, -5.0]), 1.5, 1.5)
-    np.testing.assert_array_equal(vals, [2.0, 1.0])
-
-
 def test_voxel_round_trip(tmp_path, mixed_spec):
     grid = rasterize(mixed_spec, (20, 19, 9), 0.5, (-4.5, -4.8, 2.0))
     path = tmp_path / "phantom.ectv"
@@ -483,6 +498,15 @@ def test_voxel_load_rejects_bad_grid(tmp_path, voxel_blob):
         path.write_bytes(bytes(bad))
         with pytest.raises(VoxelFileError, match="bad grid"):
             load_voxels(path)
+
+
+def test_voxel_load_rejects_non_finite_samples(tmp_path, voxel_blob):
+    bad = bytearray(voxel_blob)
+    bad[64:68] = np.float32(np.nan).tobytes()
+    path = tmp_path / "bad.ectv"
+    path.write_bytes(bytes(bad))
+    with pytest.raises(VoxelFileError, match="non-finite"):
+        load_voxels(path)
 
 
 def test_voxel_load_rejects_truncation(tmp_path, mixed_spec):

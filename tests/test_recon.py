@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -415,6 +416,11 @@ def test_layer_load_rejects_garbage(tmp_path):
     bad.write_bytes(blob[:8] + b"\x00\x00\x00\x00" + blob[12:20])
     with pytest.raises(LayerFileError, match="frame"):
         load_layer(bad)
+    nonfinite = bytearray(blob)
+    nonfinite[20:24] = np.float32(np.nan).tobytes()
+    bad.write_bytes(bytes(nonfinite))
+    with pytest.raises(LayerFileError, match="non-finite"):
+        load_layer(bad)
 
 
 @settings(max_examples=300, deadline=None,
@@ -449,12 +455,19 @@ def test_layer_csv_round_trip(tmp_path):
 
 @pytest.mark.parametrize("text", ["1.0,2.0\r\n3.0\r\n",
                                   "1.0,2.0\r\n3.0,x\r\n",
-                                  "1.0,2.0\r\n3.0,\r\n"])
+                                  "1.0,2.0\r\n3.0,\r\n",
+                                  "",
+                                  "\r\n",
+                                  "1.0,2.0,3.0\r\n4.0,5.0,6.0\r\n",
+                                  "1.0,nan\r\n3.0,4.0\r\n",
+                                  "1.0,2.0\r\n-inf,4.0\r\n"])
 def test_layer_csv_import_rejects_garbage(tmp_path, text):
     path = tmp_path / "layer.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    with pytest.raises(LayerFileError):
-        import_layer_csv(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LayerFileError):
+            import_layer_csv(path)
 
 
 def test_layer_csv_bytes_match_csv_writer(tmp_path):

@@ -268,6 +268,17 @@ def test_load_rejects_bad_header_fields(tmp_path, raw_gap2):
             load_weight(path)
 
 
+def test_load_rejects_non_finite_samples(tmp_path, raw_gap2):
+    path = tmp_path / "w.ectw"
+    save_weight(condition_weight(raw_gap2, 1.0), path)
+    blob = bytearray(path.read_bytes())
+    for value in (np.nan, np.inf):
+        blob[-4:] = np.float32(value).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(WeightFileError, match="non-finite"):
+            load_weight(path)
+
+
 def test_asymmetric_grid_survives_io(tmp_path):
     # externally computed grids may be asymmetric; nothing re-symmetrizes them
     rng = np.random.default_rng(5)
