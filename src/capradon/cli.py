@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from collections.abc import Callable
@@ -103,6 +104,7 @@ _FLOAT_KEYS = ("pitch", "standoff", "green_eps0", "x_pad", "z_max", "dx",
                "dz", "z_cut", "voxel_dx", "quant_delta", "pixel_mm",
                "render_lo", "render_hi")
 _BOOL_KEYS = ("supersample", "quantize", "csv")
+_RENDER_MODES = ("minmax", "symmetric", "fixed")
 
 # Artifact names; a per-gap name takes the gap for {}.
 _WEIGHTS = "weights_k{}.ectw"
@@ -114,6 +116,8 @@ _LAYER_PGM = "layer_k{}.pgm"
 # Largest phantom raster: 2**24 float64 voxels are 128 MiB, and
 # rasterizing holds a few arrays of that size at once.
 _MAX_VOXELS = 1 << 24
+# The one PGM header layout render_pgm writes
+_PGM_HEADER = re.compile(rb"P5\n((?:#[^\n]*\n)*)(\d+) (\d+)\n65535\n")
 
 
 class ConfigError(ValueError):
@@ -165,7 +169,12 @@ def _coerce(key, value):
 
 
 def resolve_config(config_path=None, sets=()):
-    """Merge defaults, an optional config file and --set overrides."""
+    """Merge defaults, an optional config file and --set overrides.
+
+    cfg also holds what the stages run on, built here so that bad input
+    fails before a stage writes: `phantom_text`, `phantom_spec`,
+    `geometry`, `filter` and `voxel_box` (None for an empty scene).
+    """
     raw = dict(_DEFAULTS)
     if config_path is not None:
         path = Path(config_path)
@@ -193,17 +202,18 @@ def resolve_config(config_path=None, sets=()):
     else:
         cfg["phantom_text"] = DEFAULT_PHANTOM
     try:
-        spec = parse_phantom(cfg["phantom_text"])
+        cfg["phantom_spec"] = parse_phantom(cfg["phantom_text"])
     except PhantomParseError as exc:
         raise ConfigError(f"bad phantom: {exc}") from None
 
-    # build the runtime objects once so bad combinations fail fast
+    # quant_delta stays 0 here: quantize records the step it applies
     try:
-        SensorGeometry(n=cfg["n"], pitch=cfg["pitch"],
-                       n_angles=cfg["n_angles"], standoff=cfg["standoff"],
-                       gaps=cfg["gaps"])
-        FilterSpec(window=cfg["window"], interpolation=cfg["interpolation"],
-                   size=cfg["image_size"], pixel_pitch=cfg["pixel_mm"])
+        cfg["geometry"] = SensorGeometry(
+            n=cfg["n"], pitch=cfg["pitch"], n_angles=cfg["n_angles"],
+            standoff=cfg["standoff"], gaps=cfg["gaps"])
+        cfg["filter"] = FilterSpec(
+            window=cfg["window"], interpolation=cfg["interpolation"],
+            size=cfg["image_size"], pixel_pitch=cfg["pixel_mm"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     for key in ("green_eps0", "x_pad", "z_max", "dx", "dz", "voxel_dx"):
@@ -222,17 +232,20 @@ def resolve_config(config_path=None, sets=()):
     if cfg["z_cut"] >= cfg["z_max"]:
         raise ConfigError("z_cut must be below z_max, or every weight row "
                           "is cut")
-    bounds = spec.bounds()
-    if bounds is not None:
-        count = np.prod(_voxel_box(bounds, cfg["voxel_dx"])[0])
-        if not count <= _MAX_VOXELS:   # NaN when h underflows the bounds
-            raise ConfigError(
-                f"voxel_dx={cfg['voxel_dx']!r} is too fine: the phantom "
-                f"raster would exceed {_MAX_VOXELS} voxels")
-    if cfg["render"] not in ("minmax", "symmetric", "fixed"):
-        raise ConfigError("render must be minmax, symmetric or fixed")
+    bounds = cfg["phantom_spec"].bounds()
+    cfg["voxel_box"] = box = (None if bounds is None
+                              else _voxel_box(bounds, cfg["voxel_dx"]))
+    # the count is NaN when h underflows the bounds
+    if box is not None and not np.prod(box[0]) <= _MAX_VOXELS:
+        raise ConfigError(
+            f"voxel_dx={cfg['voxel_dx']!r} is too fine: the phantom "
+            f"raster would exceed {_MAX_VOXELS} voxels")
+    if cfg["render"] not in _RENDER_MODES:
+        raise ConfigError(f"render must be one of {_RENDER_MODES}")
     if cfg["render"] == "fixed" and cfg["render_hi"] <= cfg["render_lo"]:
         raise ConfigError("render_hi must exceed render_lo")
+    if not cfg["outdir"]:
+        raise ConfigError("outdir is empty; use . for the current directory")
     return cfg
 
 
@@ -251,7 +264,7 @@ def render_pgm(image, path, mode="symmetric", lo=None, hi=None):
             raise ValueError("fixed mode needs lo < hi")
         lo_v, hi_v = float(lo), float(hi)
     else:
-        raise ValueError("mode must be minmax, symmetric or fixed")
+        raise ValueError(f"mode must be one of {_RENDER_MODES}")
     if hi_v > lo_v:
         scaled = (image - lo_v) / (hi_v - lo_v) * 65535.0
         pixels = np.clip(np.floor(scaled + 0.5), 0, 65535).astype(">u2")
@@ -266,35 +279,16 @@ def render_pgm(image, path, mode="symmetric", lo=None, hi=None):
 
 
 def read_pgm(path):
-    """Read a binary PGM written by render_pgm; returns (pixels, comments)."""
+    """Read a PGM in render_pgm's layout; returns (pixels, comments)."""
     blob = Path(path).read_bytes()
-    comments = []
-    tokens = []
-    pos = 0
-    while len(tokens) < 4:
-        if pos >= len(blob):
-            raise ValueError("PGM header is truncated")
-        if blob[pos:pos + 1] == b"#":
-            end = blob.index(b"\n", pos)
-            comments.append(blob[pos + 1:end].decode("ascii").strip())
-            pos = end + 1
-        elif blob[pos:pos + 1].isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(blob) and not blob[end:end + 1].isspace():
-                end += 1
-            tokens.append(blob[pos:end].decode("ascii"))
-            pos = end
-    pos += 1  # single whitespace after maxval
-    if tokens[0] != "P5":
-        raise ValueError(f"not a binary PGM: {tokens[0]!r}")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval != 65535:
-        raise ValueError("expected 16-bit data")
-    pixels = np.frombuffer(blob[pos:], dtype=">u2")
-    if pixels.size != w * h:
+    header = _PGM_HEADER.match(blob)
+    if header is None:
+        raise ValueError("not a 16-bit PGM header as render_pgm writes it")
+    w, h = int(header[2]), int(header[3])
+    if len(blob) - header.end() != 2 * w * h:
         raise ValueError("payload length does not match dimensions")
+    pixels = np.frombuffer(blob, ">u2", count=w * h, offset=header.end())
+    comments = [c[1:].decode("ascii").strip() for c in header[1].splitlines()]
     return pixels.reshape(h, w), comments
 
 
@@ -330,26 +324,20 @@ def _voxel_box(bounds, h):
 
 
 def _stage_phantom(cfg, outdir):
-    spec = parse_phantom(cfg["phantom_text"])
     h = cfg["voxel_dx"]
-    bounds = spec.bounds()
-    if bounds is None:
+    if cfg["voxel_box"] is None:
         grid = VoxelGrid(values=np.ones((1, 1, 1)), spacing=(h, h, h),
                          origin=(0.0, 0.0, 0.0))
     else:
-        shape, origin = _voxel_box(bounds, h)
-        grid = rasterize(spec, tuple(int(n) for n in shape), h, origin,
-                         supersample=cfg["supersample"])
+        shape, origin = cfg["voxel_box"]
+        grid = rasterize(cfg["phantom_spec"], tuple(int(n) for n in shape),
+                         h, origin, supersample=cfg["supersample"])
     save_voxels(grid, outdir / _VOXELS)
 
 
 def _stage_forward(cfg, outdir):
     grids = {k: load_weight(outdir / _WEIGHTS.format(k)) for k in cfg["gaps"]}
-    spec = parse_phantom(cfg["phantom_text"])
-    geometry = SensorGeometry(n=cfg["n"], pitch=cfg["pitch"],
-                              n_angles=cfg["n_angles"],
-                              standoff=cfg["standoff"], gaps=cfg["gaps"])
-    sino = simulate_sweep(spec, grids, geometry)
+    sino = simulate_sweep(cfg["phantom_spec"], grids, cfg["geometry"])
     if cfg["quantize"]:
         sino = quantize(sino, cfg["quant_delta"] or None)
     save_sinogram(sino, outdir / _SWEEP)
@@ -360,10 +348,7 @@ def _stage_recon(cfg, outdir):
     if sino.geometry.gaps != cfg["gaps"]:
         raise StageError(f"{_SWEEP} holds gaps {sino.geometry.gaps}, not "
                          f"{cfg['gaps']}; run the forward stage first")
-    spec = FilterSpec(window=cfg["window"],
-                      interpolation=cfg["interpolation"],
-                      size=cfg["image_size"], pixel_pitch=cfg["pixel_mm"])
-    stack = reconstruct_layers(sino, spec)
+    stack = reconstruct_layers(sino, cfg["filter"])
     for k in stack.gaps:
         save_layer(stack.images[k], k, stack.pixel_pitch,
                    outdir / _LAYER.format(k))
@@ -486,11 +471,11 @@ def run_pipeline(cfg, echo=print):
                 for output in stage.outputs(cfg):
                     (outdir / output).unlink(missing_ok=True)
                 cache.pop(name, None)
-                _write_cache(outdir, cache)
+                _write_json(outdir / "cache.json", cache)
                 raise StageError(f"{name} stage failed: {exc}") from exc
             outputs = {output: _sha256(outdir / output) for output in written}
             cache[name] = {"key": key, "outputs": outputs}
-            _write_cache(outdir, cache)
+            _write_json(outdir / "cache.json", cache)
         seconds = time.perf_counter() - start
         artifacts.update(outputs)
         manifest_stages.append({"name": name, "key": key, "cached": cached,
@@ -500,15 +485,13 @@ def run_pipeline(cfg, echo=print):
             state = "cached" if cached else f"{seconds:.2f}s"
             echo(f"{name}: {state}")
     manifest = {"config": _manifest_config(cfg), "stages": manifest_stages}
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "manifest.json", manifest)
     return manifest
 
 
-def _write_cache(outdir, cache):
-    with open(outdir / "cache.json", "w", encoding="utf-8") as fh:
-        json.dump(cache, fh, indent=2, sort_keys=True)
+def _write_json(path, record):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -24,8 +24,8 @@ __all__ = [
     "eval_potential",
 ]
 
-# Pivot smaller than this times max|entry| means the system is numerically
-# singular and the coefficients would be garbage.
+# A system whose 1-norm condition number reaches 1 / PIVOT_RTOL is
+# numerically singular and the coefficients would be garbage.
 PIVOT_RTOL = 1e-14
 
 
@@ -34,7 +34,7 @@ class SingularPointError(ValueError):
 
 
 class SingularMatrixError(ValueError):
-    """Interpolation system has no usable pivot."""
+    """Interpolation system is numerically singular."""
 
 
 def _lattice_singular(x1, x2):
@@ -98,34 +98,23 @@ def build_system(order, eps0):
 
 
 def solve_coefficients(matrix, rhs):
-    """Solve the interpolation system by Gauss elimination with row pivoting.
+    """Solve the interpolation system with LAPACK under a condition guard.
 
     Returns (alpha, residual) where residual = max|matrix @ alpha - rhs|.
-    Raises SingularMatrixError when the best available pivot falls below
-    PIVOT_RTOL * max|entry|.
+    Raises SingularMatrixError unless cond_1(matrix) * PIVOT_RTOL < 1
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 15); the
+    1-norm form costs an inverse, where the default 2-norm form takes an SVD.
     """
-    a = np.array(matrix, dtype=float)
-    b = np.array(rhs, dtype=float)
+    a = np.asarray(matrix, dtype=float)
+    b = np.asarray(rhs, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or b.shape != (n,):
         raise ValueError("matrix must be square and match rhs length")
-    tiny = PIVOT_RTOL * np.max(np.abs(a))
-    for col in range(n - 1):
-        p = col + np.argmax(np.abs(a[col:, col]))
-        if np.abs(a[p, col]) < tiny:
-            raise SingularMatrixError(f"pivot {a[p, col]:.3e} below threshold")
-        if p != col:
-            a[[col, p]] = a[[p, col]]
-            b[[col, p]] = b[[p, col]]
-        factors = a[col + 1:, col] / a[col, col]
-        a[col + 1:, col:] -= factors[:, None] * a[col, col:]
-        b[col + 1:] -= factors * b[col]
-    if np.abs(a[n - 1, n - 1]) < tiny:
-        raise SingularMatrixError("matrix is numerically singular")
-    alpha = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        alpha[row] = (b[row] - a[row, row + 1:] @ alpha[row + 1:]) / a[row, row]
-    residual = float(np.max(np.abs(np.asarray(matrix) @ alpha - np.asarray(rhs))))
+    cond = np.linalg.cond(a, 1)
+    if not cond * PIVOT_RTOL < 1:
+        raise SingularMatrixError(f"1-norm condition number {cond:.3e}")
+    alpha = np.linalg.solve(a, b)
+    residual = float(np.max(np.abs(a @ alpha - b)))
     return alpha, residual
 
 

@@ -74,13 +74,6 @@ class FilterSpec:
             raise ValueError("pixel_pitch must be positive and finite")
 
 
-def _next_pow2(n):
-    m = 1
-    while m < n:
-        m *= 2
-    return m
-
-
 def ramp_filter(n_det, window="ram-lak"):
     """Frequency response |omega|*W(omega) on the rfft bins for n_det samples.
 
@@ -91,7 +84,7 @@ def ramp_filter(n_det, window="ram-lak"):
         raise ValueError("n_det must be positive")
     if window not in ("ram-lak", "hamming", "hann"):
         raise ValueError("window must be ram-lak, hamming or hann")
-    nfft = _next_pow2(2 * n_det)
+    nfft = 1 << (2 * n_det - 1).bit_length()
     omega = np.fft.rfftfreq(nfft)
     omega_max = 0.5
     if window == "hamming":

@@ -142,6 +142,31 @@ def test_render_pgm_fixed_clips(tmp_path):
 
 
 
+def test_read_pgm_returns_comments_in_order(tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5\n# first\n# second\n2 1\n65535\n\x00\x01\xff\xfe")
+    pixels, comments = read_pgm(path)
+    np.testing.assert_array_equal(pixels, [[1, 65534]])
+    assert comments == ["first", "second"]
+
+
+def test_read_pgm_rejects_8_bit_data(tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5\n2 1\n255\n\x00\x01\xff\xfe")
+    with pytest.raises(ValueError):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("edit", [lambda b: b[:-1], lambda b: b + b"\x00"],
+                         ids=["one byte short", "one byte long"])
+def test_read_pgm_rejects_payload_of_wrong_length(tmp_path, edit):
+    path = tmp_path / "img.pgm"
+    render_pgm(np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]), path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError):
+        read_pgm(path)
+
+
 def test_read_pgm_rejects_every_header_prefix(tmp_path):
     # a token scan that does not stop at the end of a truncated header
     # never returns, so the reads run in a thread that must finish in time
@@ -245,6 +270,21 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["pipeline", "--set", "n"]) == 2
     assert main(["pipeline", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_empty_outdir_exits_2(tmp_path, monkeypatch, capsys):
+    # an empty outdir is a config error, not the working directory
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    args = small_args(tmp_path) + ["--set", "outdir="]
+    assert main(["pipeline"] + args) == 2
+    assert "outdir" in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+    # "." still names the working directory
+    args[-1] = "outdir=."
+    assert main(["pipeline"] + args) == 0
+    assert (work / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("key", ["standoff", "pixel_mm"])

@@ -146,6 +146,13 @@ def test_singular_matrix_rejected():
         solve_coefficients(matrix, np.array([1.0, 0.0, 0.0]))
 
 
+def test_near_singular_matrix_rejected():
+    # LAPACK alone solves this one without complaint, to about +-9e14
+    matrix = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    with pytest.raises(SingularMatrixError):
+        solve_coefficients(matrix, np.array([1.0, 0.0]))
+
+
 def test_solver_against_numpy_on_random_system():
     rng = np.random.default_rng(11)
     matrix = rng.normal(size=(12, 12))
