@@ -24,7 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .forward import (
+    BoundingBoxError,
     SensorGeometry,
+    _check_scan_circle,
     load_sinogram,
     quantize,
     save_sinogram,
@@ -233,6 +235,11 @@ def resolve_config(config_path=None, sets=()):
         raise ConfigError("z_cut must be below z_max, or every weight row "
                           "is cut")
     bounds = cfg["phantom_spec"].bounds()
+    if bounds is not None:
+        try:
+            _check_scan_circle(bounds, cfg["geometry"].scan_radius)
+        except BoundingBoxError as exc:
+            raise ConfigError(f"bad phantom: {exc}") from None
     cfg["voxel_box"] = box = (None if bounds is None
                               else _voxel_box(bounds, cfg["voxel_dx"]))
     # the count is NaN when h underflows the bounds

@@ -15,9 +15,12 @@ transform is linear, so the phantom is split into overlap clusters
 sweep is the sum of the clusters' sweeps.  Within a cluster, heights
 that cut it in the same cross-sections form one group: their weight
 rows are summed once, and each group costs one block of line integrals
-and one sliding-window product per gap.  At each angle only the lattice
-lines in a band around the cluster's footprint discs are integrated;
-the others miss it and contribute exactly 0.
+and one polyphase window product for all gaps (Vaidyanathan, Multirate
+Systems and Filter Banks, 1993): the line integrals are cut into cells
+of one pitch, and the detector windows of every gap become one BLAS
+matrix product per cell offset within a window.  At each angle only the
+lattice lines in a band around the cluster's footprint discs are
+integrated; the others miss it and contribute exactly 0.
 
 Sensor-frame convention: the line with signed offset s at angle theta
 passes through the points (s*cos(theta) - t*sin(theta),
@@ -30,7 +33,6 @@ import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .framing import read_header, read_samples
 from .phantom import (
@@ -226,8 +228,6 @@ def simulate_sweep(spec, weights, geometry, metadata=None):
         meta.update({str(k): str(v) for k, v in metadata.items()})
 
     p = geometry.n_angles
-    data = {k: np.zeros((p, geometry.detector_count(k)))
-            for k in geometry.gaps}
     angles = geometry.angles()
     n_lattice = max((geometry.detector_count(k) - 1) * spp + grids[k].nx
                     for k in geometry.gaps)
@@ -239,6 +239,16 @@ def simulate_sweep(spec, weights, geometry, metadata=None):
     # heights whose weight row is zero in every gap (below z_cut) add 0
     live = np.flatnonzero(np.any([g.values.any(axis=1)
                                   for g in grids.values()], axis=0))
+    # Polyphase window product: line j = c*spp + r of a window sits in
+    # cell c (spp lines, one pitch) at phase r.  Each angle's row of line
+    # integrals is padded to row_cells cells, and detector d's window sum
+    # over all gaps is sum_c cells[d + c] @ wm[c], where wm[c] holds phase
+    # r of every gap's summed weight row at window line c*spp + r.  With
+    # the angles' rows stacked, each c is one BLAS product; d + c stays
+    # below row_cells, so no sum reaches the next angle's row.
+    win_cells = -(-max(g.nx for g in grids.values()) // spp)
+    row_cells = geometry.detector_count(geometry.gaps[0]) + win_cells
+    acc = np.zeros((p * row_cells, len(geometry.gaps)))
     for cluster in overlap_clusters(spec):
         # Heights whose footprint tokens agree cut the cluster in the same
         # cross-sections, so they share one block of line integrals and
@@ -254,13 +264,10 @@ def simulate_sweep(spec, weights, geometry, metadata=None):
         blocks = [(slice(j, j + chunk),
                    first[j:j + chunk, None] + np.arange(width))
                   for j in range(0, p, chunk)]
-        # one row of line integrals per angle, read through each gap's
-        # detector windows; every group of the cluster rewrites the same
-        # band entries
-        proj = np.zeros((p, n_lattice))
-        windows = {k: sliding_window_view(proj, grids[k].nx, axis=1)
-                   [:, ::spp][:, :geometry.detector_count(k)]
-                   for k in geometry.gaps}
+        # one row of line integrals per angle; every group of the cluster
+        # rewrites the same band entries
+        proj = np.zeros((p, row_cells * spp))
+        cells = proj.reshape(p * row_cells, spp)
         for tokens, rows in groups.items():
             zh = z_heights[rows[0]]
             active = PhantomSpec(prim for prim, tok
@@ -271,11 +278,16 @@ def simulate_sweep(spec, weights, geometry, metadata=None):
                     proj[block], lines,
                     line_integrals(active, angles[block, None], x_mm[lines],
                                    zh), axis=1)
-            for k in geometry.gaps:
-                data[k] += windows[k] @ grids[k].values[rows].sum(axis=0)
-    cell = (ref.dx * geometry.pitch) * (ref.dz * geometry.pitch)
-    for k in geometry.gaps:
-        data[k] *= cell
+            wm = np.zeros((win_cells * spp, len(geometry.gaps)))
+            for i, k in enumerate(geometry.gaps):
+                wm[:grids[k].nx, i] = grids[k].values[rows].sum(axis=0)
+            wm = wm.reshape(win_cells, spp, -1)
+            for c in range(win_cells):
+                acc[:len(acc) - c] += cells[c:] @ wm[c]
+    area = (ref.dx * geometry.pitch) * (ref.dz * geometry.pitch)
+    acc = acc.reshape(p, row_cells, -1) * area
+    data = {k: acc[:, :geometry.detector_count(k), i]
+            for i, k in enumerate(geometry.gaps)}
     return SinogramSet(geometry=geometry, angles=angles,
                        data=data, metadata=meta)
 

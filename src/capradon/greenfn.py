@@ -4,8 +4,10 @@ The kernel is the electrostatic potential of a unit line charge repeated
 with period 1 along the array direction, written in pitch units (x1 along
 the electrode plane, x2 height above it).  An (order+1)-point interpolation
 system combines rescaled copies of the kernel into an approximate potential
-that is 1 on the driven electrode and 0 on its neighbours; downstream
-modules form sensitivity weights from products of its gradient.
+that is 1 on the driven electrode and 0 on its neighbours.  Downstream
+modules form sensitivity weights from products of its gradient, so
+`eval_potential` evaluates only the gradient; the potential's value is
+needed only for the interpolation system, through `eval_green`.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,6 @@ __all__ = [
     "SingularMatrixError",
     "GreenCoefficients",
     "eval_green",
-    "eval_green_gradient",
     "build_system",
     "solve_coefficients",
     "potential_coefficients",
@@ -57,23 +58,6 @@ def eval_green(x1, x2):
     base = np.sinh(np.pi * x2) ** 2 + np.sin(np.pi * x1) ** 2
     out = -np.log(base) / (4.0 * np.pi) + 0.5 * np.abs(x2)
     return out.item() if out.ndim == 0 else out
-
-
-def eval_green_gradient(x1, x2):
-    """Gradient (dG/dx1, dG/dx2) of the periodic kernel.
-
-    Rejects x2 = 0 everywhere: the |x2|/2 term has a kink on the plane.
-    """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if np.any(x2 == 0.0):
-        raise SingularPointError("gradient undefined on the plane x2 = 0")
-    base = np.sinh(np.pi * x2) ** 2 + np.sin(np.pi * x1) ** 2
-    g1 = -np.sin(2.0 * np.pi * x1) / (4.0 * base)
-    g2 = -np.sinh(2.0 * np.pi * x2) / (4.0 * base) + 0.5 * np.sign(x2)
-    if g1.ndim == 0:
-        return g1.item(), g2.item()
-    return g1, g2
 
 
 def build_system(order, eps0):
@@ -144,23 +128,34 @@ def potential_coefficients(order=16, eps0=0.1):
 
 
 def eval_potential(coeffs, x1, x2):
-    """Approximate electrode potential and its gradient.
+    """Gradient (d/dx1, d/dx2) of the approximate electrode potential.
 
-    f(x1, x2) = sum_k alpha_k * G(x1/(k+1), x2/(k+1)), with the gradient
-    carrying the 1/(k+1) chain-rule factor per term.  Returns
-    (value, (d/dx1, d/dx2)); all three broadcast like the inputs.
+    f(x1, x2) = sum_k alpha_k * G(s*x1, s*x2) with s = 1/(k+1).  Only the
+    gradient is evaluated, never f itself: per term, with
+    inv = 1 / (sinh^2(pi*s*x2) + sin^2(pi*s*x1)),
+
+        d/dx1 -= (alpha_k*s/4) * sin(2*pi*s*x1) * inv
+        d/dx2 -= (alpha_k*s/4) * sinh(2*pi*s*x2) * inv
+
+    and sign(x2)/2 * sum_k alpha_k*s is added once.  The sines depend on x1
+    alone and the sinhs on x2 alone, so on a tensor grid (x1 a row, x2 a
+    column) only the add, the reciprocal and the two products run on the
+    2-D grid.  Returns (g1, g2), broadcast like the inputs.  Raises
+    SingularPointError if any x2 is 0, where |x2|/2 has a kink.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    value = np.zeros(np.broadcast(x1, x2).shape)
-    g1 = np.zeros_like(value)
-    g2 = np.zeros_like(value)
-    for k, ak in enumerate(coeffs.alpha):
-        scale = 1.0 / (k + 1)
-        value += ak * eval_green(x1 * scale, x2 * scale)
-        d1, d2 = eval_green_gradient(x1 * scale, x2 * scale)
-        g1 += ak * scale * d1
-        g2 += ak * scale * d2
-    if value.ndim == 0:
-        return value.item(), (g1.item(), g2.item())
-    return value, (g1, g2)
+    if np.any(x2 == 0.0):
+        raise SingularPointError("gradient undefined on the plane x2 = 0")
+    g1 = np.zeros(np.broadcast(x1, x2).shape)
+    g2 = np.zeros_like(g1)
+    scales = 1.0 / np.arange(1, coeffs.alpha.size + 1)
+    for ak, s in zip(coeffs.alpha, scales):
+        inv = 1.0 / (np.sinh(np.pi * s * x2) ** 2 + np.sin(np.pi * s * x1) ** 2)
+        c = 0.25 * ak * s
+        g1 -= (c * np.sin(2.0 * np.pi * s * x1)) * inv
+        g2 -= (c * np.sinh(2.0 * np.pi * s * x2)) * inv
+    g2 += 0.5 * np.dot(coeffs.alpha, scales) * np.sign(x2)
+    if g1.ndim == 0:
+        return g1.item(), g2.item()
+    return g1, g2

@@ -3,8 +3,10 @@
 The weight for gap k is the negated dot product of the electrode potential
 gradient with a copy of itself shifted k pitches along the array; it scores
 how much a permittivity perturbation at (x, z) changes the k-gap
-measurement.  Grids are sampled in pitch units on a window around the pair,
-truncated below a cut height and rescaled to unit maximum before use.
+measurement.  Only the gradient is evaluated (greenfn.eval_potential),
+never the potential itself.  Grids are sampled in pitch units on a window
+around the pair, truncated below a cut height and rescaled to unit maximum
+before use.
 """
 
 import struct
@@ -105,8 +107,9 @@ def synthesize_weight(coeffs, gaps, x_pad=4.0, z_max=8.0, dx=0.05, dz=0.05):
 
     Gap k's window spans x in [-x_pad, k + x_pad] and z in (0, z_max], so it
     is symmetric about the pair midpoint x = k/2.  Transmitting electrode
-    sits at x = 0, receiving one at x = k.  The potential gradient is
-    evaluated once, on x in [-x_pad - kmax, kmax + x_pad]; each gap's weight
+    sits at x = 0, receiving one at x = k.  The potential gradient alone is
+    evaluated once, on the tensor grid x in [-x_pad - kmax, kmax + x_pad]
+    by z; each gap's weight
     is the product of two column slices of it, k pitches apart, which needs
     1/dx to be an integer.  x is defined by lattice index, so a gap's grid
     does not depend on which other gaps are requested.
@@ -123,7 +126,7 @@ def synthesize_weight(coeffs, gaps, x_pad=4.0, z_max=8.0, dx=0.05, dz=0.05):
     x = -x_pad + dx * np.arange(-kmax * spp,
                                 int(round((kmax + 2 * x_pad) / dx)) + 1)
     z = dz * (1.0 + np.arange(int(round(z_max / dz))))
-    _, (g1, g2) = eval_potential(coeffs, x[None, :], z[:, None])
+    g1, g2 = eval_potential(coeffs, x[None, :], z[:, None])
     grids = {}
     for k in gaps:
         nx = int(round((k + 2 * x_pad) / dx)) + 1

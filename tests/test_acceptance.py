@@ -25,12 +25,13 @@ import pytest
 
 from capradon import cli, greenfn, phantom, recon, weights
 from capradon.forward import SensorGeometry, quantize, simulate_sweep
-from capradon.greenfn import (build_system, eval_green, eval_potential,
+from capradon.greenfn import (build_system, eval_green,
                               potential_coefficients, solve_coefficients)
 from capradon.phantom import Box, Cylinder, PhantomSpec, parse_phantom
 from capradon.recon import FilterSpec, backproject, filter_sinogram, reconstruct_layers
 from capradon.weights import condition_weight, depth_profile, synthesize_weight
 
+from potential_oracle import potential
 from strip_oracle import strip_weight
 from symmetry_oracle import translated
 
@@ -111,7 +112,7 @@ def test_a2_interpolation_residuals():
         coeffs = greenfn.GreenCoefficients(alpha=alpha, eps0=0.1,
                                            residual=residual)
         sites = np.arange(17.0)
-        values = np.array([eval_potential(coeffs, x, 0.1)[0] for x in sites])
+        values = np.array([potential(coeffs, x, 0.1)[0] for x in sites])
         cond_err = np.abs(values - rhs).max()
         larger = {}
         for order in (32, 64):

@@ -317,13 +317,32 @@ def test_late_failures_are_config_errors(tmp_path, capsys, setting,
     assert not (tmp_path / "out").exists()
 
 
-def test_stage_failures_exit_3(tmp_path, capsys):
-    # phantom pokes out of the scan circle -> the forward stage fails
-    far = tmp_path / "far.txt"
-    far.write_text("sphere 100 0 6 2.5 2.0\n")
-    assert main(["pipeline"] + small_args(tmp_path, phantom=str(far))) == 3
+@pytest.mark.parametrize("far", [True, False])
+def test_phantom_outside_scan_circle_exits_2(tmp_path, capsys, far):
+    # a box at x = 100 mm, or the default scene (boxes out to 21.8 mm)
+    # under an n=4 head (scan radius 10 mm): the scan-circle check runs
+    # before any stage writes
+    if far:
+        phantom = tmp_path / "far.txt"
+        phantom.write_text("box 100 0 6 2 2 1 0 2.0\n")
+        args = small_args(tmp_path, phantom=str(phantom))
+    else:
+        args = ["--set", "n=4", "--set", f"outdir={tmp_path / 'out'}"]
+    assert main(["pipeline"] + args) == 2
+    assert "beyond the scan radius" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_stage_failures_exit_3(tmp_path, capsys, monkeypatch):
+    # the forward stage fails to write its sweep -> exit 3; the weights
+    # stay, and neither the sweep nor the manifest is left behind
+    def no_space(sino, path):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "save_sinogram", no_space)
+    assert main(["pipeline"] + small_args(tmp_path)) == 3
     err = capsys.readouterr().err
-    assert "error" in err
+    assert "forward stage failed" in err
     outdir = tmp_path / "out"
     assert (outdir / "weights_k1.ectw").exists()
     assert not (outdir / "sweep.ects").exists()

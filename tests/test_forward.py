@@ -258,13 +258,24 @@ _OVERLAPPING = PhantomSpec((
 ))
 
 
+def _assert_gaps_match_reference(spec, w, geom):
+    # all gaps share one polyphase window product, so each gap's window
+    # start and width is checked against its own plain-loop reference
+    sino = simulate_sweep(spec, w, geom)
+    for k in geom.gaps:
+        ref = _brute_sweep(spec, w[k], geom)
+        np.testing.assert_allclose(sino.data[k], ref, rtol=0,
+                                   atol=1e-10 * np.abs(ref).max(),
+                                   err_msg=f"gap {k}")
+
+
 def test_sweep_matches_scalar_reference(coeffs):
-    geom = SensorGeometry(n=6, pitch=2.5, n_angles=2, standoff=2.0, gaps=(1,))
-    w = make_weights(coeffs, (1,), z_max=1.0, x_pad=1.0)
-    sino = simulate_sweep(_OVERLAPPING, w, geom)
-    ref = _brute_sweep(_OVERLAPPING, w[1], geom)
-    np.testing.assert_allclose(sino.data[1], ref, rtol=0,
-                               atol=1e-10 * np.abs(ref).max())
+    gaps = (1, 2, 3, 4)
+    geom = SensorGeometry(n=6, pitch=2.5, n_angles=2, standoff=2.0, gaps=gaps)
+    # gap 4's window of 25 lines fills six cells of 4 lines and one line
+    # of a seventh
+    w = make_weights(coeffs, gaps, z_max=1.0, x_pad=1.0)
+    _assert_gaps_match_reference(_OVERLAPPING, w, geom)
 
 
 # Four overlap clusters at the weight rows' heights (2.6-4.5 mm): a box
@@ -290,15 +301,13 @@ _CLUSTERED = PhantomSpec((
 def test_clustered_sweep_matches_scalar_reference(coeffs):
     sizes = [len(c.primitives) for c in overlap_clusters(_CLUSTERED)]
     assert sizes == [2, 1, 1, 2]
+    gaps = (1, 2, 3, 4)
     geom = SensorGeometry(n=6, pitch=2.5, n_angles=4, standoff=2.0,
-                          gaps=(1,))
+                          gaps=gaps)
     # x_pad 0.25 ends the lattice 0.625 mm beyond the scan circle; lines
     # 0.3125 mm apart put several in each disc's rim
-    w = make_weights(coeffs, (1,), dx=0.125, z_max=1.0, x_pad=0.25)
-    sino = simulate_sweep(_CLUSTERED, w, geom)
-    ref = _brute_sweep(_CLUSTERED, w[1], geom)
-    np.testing.assert_allclose(sino.data[1], ref, rtol=0,
-                               atol=1e-10 * np.abs(ref).max())
+    w = make_weights(coeffs, gaps, dx=0.125, z_max=1.0, x_pad=0.25)
+    _assert_gaps_match_reference(_CLUSTERED, w, geom)
 
 
 def _midpoint_sweep(spec, grid, geom, step):

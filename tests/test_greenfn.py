@@ -13,11 +13,12 @@ from capradon.greenfn import (
     SingularPointError,
     build_system,
     eval_green,
-    eval_green_gradient,
     eval_potential,
     potential_coefficients,
     solve_coefficients,
 )
+
+from potential_oracle import green_gradient, potential
 
 
 def sample_points(count, seed=42, zmin=0.05, zmax=2.5):
@@ -68,13 +69,13 @@ def test_lattice_singularities_rejected():
     assert np.isfinite(eval_green(0.5, 0.0))
     # ...but not for the gradient (kink of |x2|/2)
     with pytest.raises(SingularPointError):
-        eval_green_gradient(0.5, 0.0)
+        green_gradient(0.5, 0.0)
 
 
 def test_gradient_closed_form():
     d = np.sin(np.pi * 0.5) ** 2 + np.sinh(0.3 * np.pi) ** 2
     want = -np.sinh(2.0 * np.pi * 0.3) / (4.0 * d) + 0.5
-    g1, g2 = eval_green_gradient(0.5, 0.3)
+    g1, g2 = green_gradient(0.5, 0.3)
     assert g2 == pytest.approx(want, rel=1e-12)
     assert g1 == pytest.approx(0.0, abs=1e-15)  # even in x1 at x1=1/2
 
@@ -85,7 +86,7 @@ def test_gradient_matches_central_differences():
     x1s, x2s = sample_points(300, seed=7, zmax=1.5)
     h = 1e-5
     for x1, x2 in zip(x1s, x2s):
-        g1, g2 = eval_green_gradient(x1, x2)
+        g1, g2 = green_gradient(x1, x2)
         f1 = (eval_green(x1 + h, x2) - eval_green(x1 - h, x2)) / (2 * h)
         f2 = (eval_green(x1, x2 + h) - eval_green(x1, x2 - h)) / (2 * h)
         assert np.hypot(g1 - f1, g2 - f2) / np.hypot(g1, g2) < 1e-6
@@ -130,10 +131,10 @@ def test_residuals_small_across_orders():
 
 def test_interpolation_conditions_hold():
     coeffs = potential_coefficients(16, 0.1)
-    value0, _ = eval_potential(coeffs, 0.0, coeffs.eps0)
+    value0, _ = potential(coeffs, 0.0, coeffs.eps0)
     assert abs(value0 - 1.0) < 1e-12
     for n in range(1, 17):
-        value, _ = eval_potential(coeffs, float(n), coeffs.eps0)
+        value, _ = potential(coeffs, float(n), coeffs.eps0)
         assert abs(value) < 1e-12
     assert coeffs.order == 16
     assert coeffs.residual < 1e-9
@@ -166,11 +167,11 @@ def test_potential_gradient_chain_rule():
     coeffs = potential_coefficients(16, 0.1)
     h = 1e-6
     for x1, x2 in [(0.3, 0.5), (1.7, 1.2), (-2.4, 0.8)]:
-        value, (g1, g2) = eval_potential(coeffs, x1, x2)
-        f1 = (eval_potential(coeffs, x1 + h, x2)[0]
-              - eval_potential(coeffs, x1 - h, x2)[0]) / (2 * h)
-        f2 = (eval_potential(coeffs, x1, x2 + h)[0]
-              - eval_potential(coeffs, x1, x2 - h)[0]) / (2 * h)
+        g1, g2 = eval_potential(coeffs, x1, x2)
+        f1 = (potential(coeffs, x1 + h, x2)[0]
+              - potential(coeffs, x1 - h, x2)[0]) / (2 * h)
+        f2 = (potential(coeffs, x1, x2 + h)[0]
+              - potential(coeffs, x1, x2 - h)[0]) / (2 * h)
         assert g1 == pytest.approx(f1, rel=1e-5, abs=1e-8)
         assert g2 == pytest.approx(f2, rel=1e-5, abs=1e-8)
 
@@ -179,11 +180,11 @@ def test_potential_is_harmonic():
     coeffs = potential_coefficients(16, 0.1)
     h = 1e-3
     x1, x2 = 0.4, 0.7
-    stencil = (eval_potential(coeffs, x1 + h, x2)[0]
-               + eval_potential(coeffs, x1 - h, x2)[0]
-               + eval_potential(coeffs, x1, x2 + h)[0]
-               + eval_potential(coeffs, x1, x2 - h)[0]
-               - 4.0 * eval_potential(coeffs, x1, x2)[0])
+    stencil = (potential(coeffs, x1 + h, x2)[0]
+               + potential(coeffs, x1 - h, x2)[0]
+               + potential(coeffs, x1, x2 + h)[0]
+               + potential(coeffs, x1, x2 - h)[0]
+               - 4.0 * potential(coeffs, x1, x2)[0])
     assert abs(stencil / h**2) < 1e-4
 
 
@@ -191,10 +192,27 @@ def test_vectorized_matches_scalar():
     coeffs = potential_coefficients(8, 0.1)
     x1 = np.array([0.2, 1.1, -0.7])
     x2 = np.array([0.4, 0.9, 1.3])
-    values, (g1, g2) = eval_potential(coeffs, x1, x2)
+    g1, g2 = eval_potential(coeffs, x1, x2)
     for i in range(3):
-        v, (a, b) = eval_potential(coeffs, float(x1[i]), float(x2[i]))
-        assert values[i] == v and g1[i] == a and g2[i] == b
+        a, b = eval_potential(coeffs, float(x1[i]), float(x2[i]))
+        assert g1[i] == a and g2[i] == b
+
+
+@pytest.mark.parametrize("order", [16, 54])
+def test_gradient_kernel_matches_pointwise_oracle(order):
+    # the tensor-grid kernel against the term-by-term point-wise gradient,
+    # on a grid that spans negative x and several periods of every copy
+    coeffs = potential_coefficients(order, 0.1)
+    x = np.linspace(-7.3, 9.1, 131)[None, :]
+    z = np.linspace(0.05, 8.0, 97)[:, None]
+    g1, g2 = eval_potential(coeffs, x, z)
+    _, (w1, w2) = potential(coeffs, x, z)
+    peak = max(np.abs(w1).max(), np.abs(w2).max())
+    assert g1.shape == g2.shape == (97, 131)
+    assert np.max(np.abs(g1 - w1)) <= 1e-13 * peak
+    assert np.max(np.abs(g2 - w2)) <= 1e-13 * peak
+    with pytest.raises(SingularPointError):
+        eval_potential(coeffs, x, np.array([[0.3], [0.0]]))
 
 
 def test_coefficients_validation():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from capradon.greenfn import eval_green, eval_potential, potential_coefficients
+from capradon.greenfn import eval_green, potential_coefficients
 from capradon.weights import (
     DegenerateWeightError,
     WeightFileError,
@@ -20,6 +20,8 @@ from capradon.weights import (
     save_weight,
     synthesize_weight,
 )
+
+from potential_oracle import potential
 
 
 @pytest.fixture(scope="module")
@@ -112,13 +114,14 @@ def test_multi_gap_call_equals_single_gap_calls(coeffs):
 
 
 def _two_window_weight(coeffs, gap, x_pad=4.0, z_max=8.0, dx=0.05, dz=0.05):
-    # oracle: the gradient evaluated separately at x and at x - gap on the
-    # gap's own window, instead of as two slices of one shared evaluation
+    # oracle: the point-wise gradient evaluated separately at x and at
+    # x - gap on the gap's own window, instead of as two slices of one
+    # shared tensor-grid evaluation
     nx = int(round((gap + 2 * x_pad) / dx)) + 1
     x = (-x_pad + dx * np.arange(nx))[None, :]
     z = (dz * (1.0 + np.arange(int(round(z_max / dz)))))[:, None]
-    _, (g1a, g2a) = eval_potential(coeffs, x, z)
-    _, (g1b, g2b) = eval_potential(coeffs, x - gap, z)
+    _, (g1a, g2a) = potential(coeffs, x, z)
+    _, (g1b, g2b) = potential(coeffs, x - gap, z)
     return WeightGrid(gap=gap, dx=dx, dz=dz, x_origin=-x_pad, z_origin=dz,
                       values=-(g1a * g1b + g2a * g2b))
 
