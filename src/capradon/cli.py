@@ -115,9 +115,9 @@ _SWEEP = "sweep.ects"
 _LAYER = "layer_k{}.ectl"
 _LAYER_CSV = "layer_k{}.csv"
 _LAYER_PGM = "layer_k{}.pgm"
-# Largest phantom raster: 2**24 float64 voxels are 128 MiB, and
-# rasterizing holds a few arrays of that size at once.
-_MAX_VOXELS = 1 << 24
+# Largest array a stage builds: 2**24 float64 values are 128 MiB, and a
+# stage holds a few arrays of that size at once.
+_MAX_VALUES = 1 << 24
 # The one PGM header layout render_pgm writes
 _PGM_HEADER = re.compile(rb"P5\n((?:#[^\n]*\n)*)(\d+) (\d+)\n65535\n")
 
@@ -243,10 +243,14 @@ def resolve_config(config_path=None, sets=()):
     cfg["voxel_box"] = box = (None if bounds is None
                               else _voxel_box(bounds, cfg["voxel_dx"]))
     # the count is NaN when h underflows the bounds
-    if box is not None and not np.prod(box[0]) <= _MAX_VOXELS:
+    if box is not None and not np.prod(box[0]) <= _MAX_VALUES:
         raise ConfigError(
             f"voxel_dx={cfg['voxel_dx']!r} is too fine: the phantom "
-            f"raster would exceed {_MAX_VOXELS} voxels")
+            f"raster would exceed {_MAX_VALUES} voxels")
+    for what, count in _array_sizes(cfg).items():
+        if not count <= _MAX_VALUES:
+            raise ConfigError(f"the {what} would hold {count:.3g} values, "
+                              f"more than {_MAX_VALUES}")
     if cfg["render"] not in _RENDER_MODES:
         raise ConfigError(f"render must be one of {_RENDER_MODES}")
     if cfg["render"] == "fixed" and cfg["render_hi"] <= cfg["render_lo"]:
@@ -254,6 +258,26 @@ def resolve_config(config_path=None, sets=()):
     if not cfg["outdir"]:
         raise ConfigError("outdir is empty; use . for the current directory")
     return cfg
+
+
+def _array_sizes(cfg):
+    """Values in the largest array of the weights, forward and recon stages.
+
+    Counts are floats, so that a huge setting gives inf instead of raising;
+    an integer setting past the limit is clipped to just past it.
+    """
+    n, p, size = (float(min(cfg[key], _MAX_VALUES + 1))
+                  for key in ("n", "n_angles", "image_size"))
+    dx, pad, kmax = cfg["dx"], cfg["x_pad"], max(cfg["gaps"])
+    # every gap's window ends 2n pitches plus 2 x_pad past where the first
+    # detector's window starts
+    lines = (2 * n + 2 * pad) / dx + 1
+    return {
+        "weight grid (z_max/dz x potential lattice)":
+            cfg["z_max"] / cfg["dz"] * ((2 * kmax + 2 * pad) / dx + 1),
+        "sweep (n_angles x lattice lines)": p * lines,
+        "layer stack (gaps x image_size^2)": len(cfg["gaps"]) * size**2,
+    }
 
 
 def render_pgm(image, path, mode="symmetric", lo=None, hi=None):

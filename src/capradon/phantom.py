@@ -12,6 +12,9 @@ s*sin(theta) + t*cos(theta)).  Each primitive's `crossings` gives, in
 closed form, the values of t where such lines cross its cross-section at
 a height, NaN where there is none; a point of a line is inside the
 primitive when an odd number of the primitive's crossings lie below it.
+This parity rule is the one inside rule: `contains` applies it to the
+lines at theta 0, whose points are (s, t) = (x, y), so it is half-open on
+lateral faces; each kind's `covers` is its z test, closed on the z faces.
 `crossings` and `line_integrals` broadcast theta against s, so one call
 can take a block of angles (theta[:, None]) with a row of offsets each.
 
@@ -21,6 +24,7 @@ whose discs meet are linked; `overlap_clusters` returns the connected
 components, between which "last listed wins" never applies.
 """
 
+import itertools
 import math
 import struct
 from collections.abc import Callable
@@ -32,6 +36,7 @@ import numpy as np
 from .framing import read_header, read_samples
 
 __all__ = [
+    "Primitive",
     "Box",
     "Cylinder",
     "Sphere",
@@ -90,8 +95,43 @@ def _disc_crossings(cx, cy, radius, theta, s):
     return np.stack([tc - half, tc + half], axis=-1)
 
 
+def _inside(cuts, t):
+    """Crossing parity: whether an odd number of cuts lie below each t.
+
+    cuts holds the crossings along its last axis; NaN cuts count as none.
+    """
+    inside = np.zeros(np.broadcast(cuts[..., 0], t).shape, dtype=bool)
+    for i in range(cuts.shape[-1]):
+        inside ^= cuts[..., i] < t
+    return inside
+
+
+class Primitive:
+    """Base of the four kinds, which differ only in two methods.
+
+    `covers(z)` is a kind's z test, closed on its z faces, and
+    `crossings(theta, s, z)` gives the t where lines cross its lateral
+    boundary; `contains` and `footprint_token` follow from the two.
+    """
+
+    def contains(self, x, y, z):
+        """Whether each point (x, y) of a plane at height z lies inside.
+
+        The points over x are the line at theta 0 and offset x, with t = y,
+        so this is the parity rule of `line_integrals`.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        inside = _inside(self.crossings(0.0, x, z), y)
+        return inside.reshape(np.broadcast(x, y).shape)
+
+    def footprint_token(self, z):
+        # the xy cross-section is the same at every covered height
+        return True if self.covers(z) else None
+
+
 @dataclass(frozen=True)
-class Box:
+class Box(Primitive):
     """Axis-extruded box, rotated about the z axis through its center."""
 
     center: tuple
@@ -104,22 +144,15 @@ class Box:
         if min(self.half_extents) <= 0:
             raise ValueError("half extents must be positive")
 
-    def contains(self, x, y, z):
-        a = np.deg2rad(self.angle_deg)
-        dx = np.asarray(x) - self.center[0]
-        dy = np.asarray(y) - self.center[1]
-        u = dx * np.cos(a) + dy * np.sin(a)
-        v = -dx * np.sin(a) + dy * np.cos(a)
-        hx, hy, hz = self.half_extents
-        return ((np.abs(u) <= hx) & (np.abs(v) <= hy)
-                & (np.abs(np.asarray(z) - self.center[2]) <= hz))
+    def covers(self, z):
+        return abs(z - self.center[2]) <= self.half_extents[2]
 
     def crossings(self, theta, s, z):
         """Entry and exit t per line, (*lines, 2), by slab clipping."""
         s = np.atleast_1d(s)
-        hx, hy, hz = self.half_extents
-        if abs(z - self.center[2]) > hz:
+        if not self.covers(z):
             return _misses(theta, s, 2)
+        hx, hy = self.half_extents[:2]
         a = np.deg2rad(self.angle_deg)
         c, sn = np.cos(theta), np.sin(theta)
         px = s * c - self.center[0]
@@ -142,12 +175,6 @@ class Box:
         return np.stack([np.where(hit, lo, np.nan),
                          np.where(hit, hi, np.nan)], axis=-1)
 
-    def footprint_token(self, z):
-        # xy footprint is z-independent inside the slab
-        if abs(z - self.center[2]) <= self.half_extents[2]:
-            return True
-        return None
-
     def footprint_disc(self):
         return (self.center[0], self.center[1],
                 math.hypot(self.half_extents[0], self.half_extents[1]))
@@ -163,7 +190,7 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Cylinder:
+class Cylinder(Primitive):
     """Circular cylinder with axis parallel to z."""
 
     cx: float
@@ -180,21 +207,14 @@ class Cylinder:
         if self.z_hi <= self.z_lo:
             raise ValueError("z_hi must exceed z_lo")
 
-    def contains(self, x, y, z):
-        r2 = (np.asarray(x) - self.cx) ** 2 + (np.asarray(y) - self.cy) ** 2
-        zz = np.asarray(z)
-        return (r2 <= self.radius**2) & (zz >= self.z_lo) & (zz <= self.z_hi)
+    def covers(self, z):
+        return self.z_lo <= z <= self.z_hi
 
     def crossings(self, theta, s, z):
         """Entry and exit t per line, (*lines, 2)."""
-        if not self.z_lo <= z <= self.z_hi:
+        if not self.covers(z):
             return _misses(theta, s, 2)
         return _disc_crossings(self.cx, self.cy, self.radius, theta, s)
-
-    def footprint_token(self, z):
-        if self.z_lo <= z <= self.z_hi:
-            return True
-        return None
 
     def footprint_disc(self):
         return (self.cx, self.cy, self.radius)
@@ -206,7 +226,7 @@ class Cylinder:
 
 
 @dataclass(frozen=True)
-class Sphere:
+class Sphere(Primitive):
     center: tuple
     radius: float
     contrast: float
@@ -216,25 +236,20 @@ class Sphere:
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
-    def contains(self, x, y, z):
-        cx, cy, cz = self.center
-        r2 = ((np.asarray(x) - cx) ** 2 + (np.asarray(y) - cy) ** 2
-              + (np.asarray(z) - cz) ** 2)
-        return r2 <= self.radius**2
+    def covers(self, z):
+        return abs(z - self.center[2]) <= self.radius
 
     def crossings(self, theta, s, z):
         """Entry and exit t per line through the slice at z, (*lines, 2)."""
-        cx, cy, cz = self.center
-        if abs(z - cz) > self.radius:
+        if not self.covers(z):
             return _misses(theta, s, 2)
+        cx, cy, cz = self.center
         r = np.sqrt(max(self.radius**2 - (z - cz) ** 2, 0.0))
         return _disc_crossings(cx, cy, r, theta, s)
 
     def footprint_token(self, z):
         # the xy cross-section changes with height, so the token carries z
-        if abs(z - self.center[2]) <= self.radius:
-            return z
-        return None
+        return z if self.covers(z) else None
 
     def footprint_disc(self):
         return (self.center[0], self.center[1], self.radius)
@@ -246,7 +261,7 @@ class Sphere:
 
 
 @dataclass(frozen=True)
-class ExtrudedPolygon:
+class ExtrudedPolygon(Primitive):
     """Simple polygon in xy, extruded between two heights."""
 
     vertices: tuple  # ((x, y), ...) at least 3
@@ -263,19 +278,8 @@ class ExtrudedPolygon:
         object.__setattr__(self, "vertices",
                            tuple((float(a), float(b)) for a, b in self.vertices))
 
-    def contains(self, x, y, z):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        inside = np.zeros(np.broadcast(x, y).shape, dtype=bool)
-        verts = self.vertices
-        # even-odd ray casting, edge by edge
-        for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
-            crosses = (y1 > y) != (y2 > y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            inside ^= crosses & (x < xi)
-        zz = np.asarray(z)
-        return inside & (zz >= self.z_lo) & (zz <= self.z_hi)
+    def covers(self, z):
+        return self.z_lo <= z <= self.z_hi
 
     def crossings(self, theta, s, z):
         """One t per edge and line, (*lines, edges); NaN where none.
@@ -286,7 +290,7 @@ class ExtrudedPolygon:
         there once or not at all.
         """
         verts = self.vertices
-        if not self.z_lo <= z <= self.z_hi:
+        if not self.covers(z):
             return _misses(theta, s, len(verts))
         s = np.atleast_1d(s)
         c, sn = np.cos(theta), np.sin(theta)
@@ -300,11 +304,6 @@ class ExtrudedPolygon:
                 tx = t1 + (t2 - t1) * d1 / (d1 - d2)
             cols.append(np.where(crosses, tx, np.nan))
         return np.stack(cols, axis=-1)
-
-    def footprint_token(self, z):
-        if self.z_lo <= z <= self.z_hi:
-            return True
-        return None
 
     def footprint_disc(self):
         # centred on the bounding box, out to the farthest vertex
@@ -336,13 +335,27 @@ class PhantomSpec:
 
 
 def eval_permittivity(spec, x, y, z):
-    """Relative permittivity at (x, y, z) mm; last containing primitive wins."""
+    """Relative permittivity on one xy plane at each height in z (mm).
+
+    x and y broadcast to the plane; the result has shape z.shape + plane.
+    The last containing primitive wins.  Heights where a primitive's
+    footprint token agrees share one `contains` call.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    out = np.ones(np.broadcast(x, y, z).shape)
+    plane = np.broadcast(x, y).shape
+    out = np.ones(z.shape + plane)
+    rows = out.reshape((-1,) + plane)
     for prim in spec.primitives:
-        out = np.where(prim.contains(x, y, z), prim.contrast, out)
+        groups = {}
+        for iz, zh in enumerate(z.flat):
+            token = prim.footprint_token(zh)
+            if token is not None:
+                groups.setdefault(token, []).append(iz)
+        for members in groups.values():
+            inside = prim.contains(x, y, z.flat[members[0]])
+            rows[members] = np.where(inside, prim.contrast, rows[members])
     return out.item() if out.ndim == 0 else out
 
 
@@ -365,10 +378,8 @@ def line_integrals(spec, theta, s, z):
     mids = 0.5 * (ends[..., 1:] + ends[..., :-1])
     values = np.ones(mids.shape)
     for prim, pts in zip(spec.primitives, cuts):
-        inside = np.zeros(mids.shape, dtype=bool)
-        for i in range(pts.shape[-1]):
-            inside ^= pts[..., i, None] < mids
-        values = np.where(inside, prim.contrast, values)
+        values = np.where(_inside(pts[..., None, :], mids), prim.contrast,
+                          values)
     return np.sum((values - 1.0) * lengths, axis=-1)
 
 
@@ -444,6 +455,9 @@ def _parse_line(lineno, tokens):
         nums = [float(t) for t in tokens[1:]]
     except ValueError as exc:
         raise PhantomParseError(f"line {lineno}: bad number ({exc})") from None
+    bad = [t for t, v in zip(tokens[1:], nums) if not math.isfinite(v)]
+    if bad:
+        raise PhantomParseError(f"line {lineno}: non-finite number {bad[0]!r}")
     kind = _KINDS.get(keyword)
     if kind is None:
         raise PhantomParseError(f"line {lineno}: unknown primitive {keyword!r}")
@@ -507,7 +521,8 @@ def rasterize(spec, shape, spacing, origin, supersample=False):
 
     shape is (nx, ny, nz); spacing a scalar or per-axis triple (mm); origin
     the low corner of the voxel volume (mm).  With supersample=True each
-    voxel averages a 2x2x2 stencil instead of its center value.
+    voxel averages a 2x2x2 stencil instead of its center value.  Membership
+    follows the parity rule of `contains`.
     """
     nx, ny, nz = shape
     spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (3,))
@@ -523,21 +538,13 @@ def rasterize(spec, shape, spacing, origin, supersample=False):
     xs = origin[0] + spacing[0] * (np.arange(nx) + 0.5)
     ys = origin[1] + spacing[1] * (np.arange(ny) + 0.5)
     zs = origin[2] + spacing[2] * (np.arange(nz) + 0.5)
-    X = xs[None, None, :]
-    Y = ys[None, :, None]
-    Z = zs[:, None, None]
-    if not supersample:
-        values = eval_permittivity(spec, X, Y, Z)
-        values = np.broadcast_to(values, (nz, ny, nx)).copy()
-    else:
-        values = np.zeros((nz, ny, nx))
-        for ox in (-0.25, 0.25):
-            for oy in (-0.25, 0.25):
-                for oz in (-0.25, 0.25):
-                    values += eval_permittivity(
-                        spec, X + ox * spacing[0], Y + oy * spacing[1],
-                        Z + oz * spacing[2])
-        values /= 8.0
+    offsets = (-0.25, 0.25) if supersample else (0.0,)
+    values = np.zeros((nz, ny, nx))
+    for ox, oy, oz in itertools.product(offsets, repeat=3):
+        values += eval_permittivity(spec, xs[None, :] + ox * spacing[0],
+                                    ys[:, None] + oy * spacing[1],
+                                    zs + oz * spacing[2])
+    values /= len(offsets) ** 3
     return VoxelGrid(values=values, spacing=tuple(spacing), origin=tuple(origin))
 
 

@@ -1,14 +1,15 @@
 """Midpoint-rule line integrals through a phantom, as a test reference.
 
 The forward model integrates each line exactly from closed-form chord
-crossings.  This oracle samples the permittivity pointwise instead, so the
-convergence tests can show the two agree as the step shrinks.
+crossings.  This oracle samples the closed point tests of point_oracle
+instead, so the convergence tests can show the two agree as the step
+shrinks.
 """
 
 import numpy as np
 
 from capradon.forward import BoundingBoxError
-from capradon.phantom import eval_permittivity
+from point_oracle import permittivity
 
 
 def project_slice(spec, theta, s, z, step, scan_radius=None):
@@ -39,5 +40,5 @@ def project_slice(spec, theta, s, z, step, scan_radius=None):
     m = max(1, int(np.ceil(2 * half / step)))
     dt = 2 * half / m
     t = (tc - half) + (np.arange(m) + 0.5) * dt
-    vals = eval_permittivity(spec, s * c - t * sn, s * sn + t * c, z)
+    vals = permittivity(spec, s * c - t * sn, s * sn + t * c, z)
     return float(np.sum(vals - 1.0) * dt)

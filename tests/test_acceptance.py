@@ -29,8 +29,9 @@ from capradon.greenfn import (build_system, eval_green,
                               potential_coefficients, solve_coefficients)
 from capradon.phantom import Box, Cylinder, PhantomSpec, parse_phantom
 from capradon.recon import FilterSpec, backproject, filter_sinogram, reconstruct_layers
-from capradon.weights import condition_weight, depth_profile, synthesize_weight
+from capradon.weights import condition_weight, synthesize_weight
 
+from depth_profile import depth_profile
 from potential_oracle import potential
 from strip_oracle import strip_weight
 from symmetry_oracle import translated

@@ -296,6 +296,20 @@ def test_non_finite_values_exit_2(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line", [
+    "polygon 2 9 1.7 10 10 20 nan 15 20",   # used to run to the end
+    "box -15 0 7 6 6 2.5 0 inf",            # used to fail in forward
+    "box nan 0 7 6 6 2.5 0 2",              # used to blame voxel_dx
+])
+def test_non_finite_phantom_numbers_exit_2(tmp_path, capsys, line):
+    phantom = tmp_path / "bad.txt"
+    phantom.write_text(f"# scene\n{line}\n")
+    args = small_args(tmp_path, phantom=str(phantom))
+    assert main(["pipeline"] + args) == 2
+    assert "line 2: non-finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("setting, message", [
     ("dx=0.03", "1/dx"),
     ("x_pad=0", "x_pad"),
@@ -305,12 +319,18 @@ def test_non_finite_values_exit_2(tmp_path, capsys, key, value):
     ("voxel_dx=0.01", "voxels"),
     ("voxel_dx=1e-9", "voxels"),
     ("voxel_dx=5e-324", "voxels"),
+    ("z_max=1e6", "weight grid"),
+    ("x_pad=1e9", "weight grid"),
+    ("n_angles=100000000", "sweep"),
+    ("n=10000000", "sweep"),
+    ("image_size=1000000", "layer stack"),
+    ("image_size=1" + "0" * 400, "layer stack"),
 ])
 def test_late_failures_are_config_errors(tmp_path, capsys, setting,
                                          message):
     # each of these used to fail inside a stage, after earlier stages had
-    # written their files; the voxel count is checked before any raster
-    # is allocated
+    # written their files; the sizes of the voxel raster, the weight grid,
+    # the sweep and the layer stack are checked before any is allocated
     args = small_args(tmp_path) + ["--set", setting]
     assert main(["pipeline"] + args) == 2
     assert message in capsys.readouterr().err

@@ -24,11 +24,11 @@ from capradon.phantom import (
     ExtrudedPolygon,
     PhantomSpec,
     Sphere,
-    eval_permittivity,
     overlap_clusters,
 )
 from capradon.weights import condition_weight, synthesize_weight
 
+import point_oracle
 from midpoint_oracle import project_slice
 from symmetry_oracle import mirrored_x, translated
 
@@ -167,7 +167,8 @@ def _line_cuts(prim, theta, s, z):
 
     Discs solve |p(t) - c|^2 = r^2; a box is clipped as the polygon of its
     four corners.  Membership of the pieces between the points is left to
-    eval_permittivity, so no inside rule is shared with the program.
+    the closed point tests of point_oracle, so no inside rule is shared with
+    the program.
     """
     c, sn = math.cos(theta), math.sin(theta)
     x0, y0 = s * c, s * sn
@@ -220,7 +221,7 @@ def _exact_line(spec, theta, s, z):
         tm = 0.5 * (t0 + t1)
         x = s * math.cos(theta) - tm * math.sin(theta)
         y = s * math.sin(theta) + tm * math.cos(theta)
-        total += (t1 - t0) * (eval_permittivity(spec, x, y, z) - 1.0)
+        total += (t1 - t0) * (point_oracle.permittivity(spec, x, y, z) - 1.0)
     return total
 
 

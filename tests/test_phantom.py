@@ -1,3 +1,4 @@
+import itertools
 import struct
 
 import numpy as np
@@ -12,6 +13,7 @@ from capradon.phantom import (
     GridCoverageError,
     PhantomParseError,
     PhantomSpec,
+    Primitive,
     Sphere,
     VoxelFileError,
     VoxelGrid,
@@ -26,6 +28,7 @@ from capradon.phantom import (
     save_voxels,
 )
 
+import point_oracle
 from symmetry_oracle import mirrored_x, rotated_z, translated
 
 
@@ -125,6 +128,17 @@ def test_parse_rejects_unknown_primitive():
         parse_phantom("# c\n\ntorus 0 0 0 1 2\n")
 
 
+@pytest.mark.parametrize("line, token", [
+    ("polygon 2 9 1.7 10 10 20 nan 15 20", "nan"),
+    ("box -15 0 7 6 6 2.5 0 inf", "inf"),
+    ("sphere 0 0 -Infinity 1 2", "-Infinity"),
+])
+def test_parse_rejects_non_finite_numbers(line, token):
+    with pytest.raises(PhantomParseError) as info:
+        parse_phantom(f"# c\n{line}\n")
+    assert str(info.value) == f"line 2: non-finite number {token!r}"
+
+
 def test_parse_rejects_nonpositive_contrast():
     with pytest.raises(PhantomParseError, match="line 1"):
         parse_phantom("sphere 0 0 0 1 0\n")
@@ -166,6 +180,30 @@ def test_eval_broadcasts():
     np.testing.assert_array_equal(vals, [2.0, 1.0, 2.0])
 
 
+def test_eval_permittivity_holds_a_plane_per_height(mixed_spec, monkeypatch):
+    x = np.linspace(-4.0, 4.0, 9)[None, :]
+    y = np.linspace(-4.0, 4.0, 7)[:, None]
+    z = np.array([[2.9, 3.6], [4.0, 4.6]])
+    vals = eval_permittivity(mixed_spec, x, y, z)
+    assert vals.shape == (2, 2, 7, 9)
+    for idx in np.ndindex(z.shape):
+        np.testing.assert_array_equal(
+            vals[idx], eval_permittivity(mixed_spec, x, y, z[idx]))
+    # heights with one footprint token share a contains call: the box's
+    # section is the same at every height, the sphere's is not
+    calls = []
+    contains = Primitive.contains
+
+    def counted(prim, *args):
+        calls.append(type(prim).__name__)
+        return contains(prim, *args)
+
+    monkeypatch.setattr(Primitive, "contains", counted)
+    box, _, sphere, _ = mixed_spec.primitives
+    eval_permittivity(PhantomSpec((box, sphere)), x, y, [3.5, 3.9, 4.3, 9.0])
+    assert calls == ["Box", "Sphere", "Sphere", "Sphere"]
+
+
 def test_polygon_square_matches_box():
     # a square polygon and an unrotated box describe the same region
     poly = ExtrudedPolygon(vertices=((-1.5, -2.0), (1.5, -2.0), (1.5, 2.0),
@@ -177,8 +215,8 @@ def test_polygon_square_matches_box():
     x = rng.uniform(-3, 3, 2000)
     y = rng.uniform(-3, 3, 2000)
     z = rng.uniform(0, 4, 2000)
-    np.testing.assert_array_equal(poly.contains(x, y, z),
-                                  box.contains(x, y, z))
+    np.testing.assert_array_equal(point_oracle.contains(poly, x, y, z),
+                                  point_oracle.contains(box, x, y, z))
 
 
 def test_rotated_box_contains():
@@ -198,8 +236,8 @@ def test_rotation_equivariance(mixed_spec):
     z = rng.uniform(2.5, 5.5, 500)
     xr = np.cos(theta) * x - np.sin(theta) * y
     yr = np.sin(theta) * x + np.cos(theta) * y
-    np.testing.assert_allclose(eval_permittivity(rot, xr, yr, z),
-                               eval_permittivity(mixed_spec, x, y, z),
+    np.testing.assert_allclose(point_oracle.permittivity(rot, xr, yr, z),
+                               point_oracle.permittivity(mixed_spec, x, y, z),
                                rtol=0, atol=1e-12)
 
 
@@ -209,8 +247,8 @@ def test_mirror_equivariance(mixed_spec):
     y = rng.uniform(-4, 4, 500)
     z = rng.uniform(2.5, 5.5, 500)
     mir = mirrored_x(mixed_spec)
-    np.testing.assert_allclose(eval_permittivity(mir, -x, y, z),
-                               eval_permittivity(mixed_spec, x, y, z),
+    np.testing.assert_allclose(point_oracle.permittivity(mir, -x, y, z),
+                               point_oracle.permittivity(mixed_spec, x, y, z),
                                rtol=0, atol=1e-12)
 
 
@@ -221,8 +259,8 @@ def test_translate_equivariance(mixed_spec):
     z = rng.uniform(2.5, 5.5, 500)
     tra = translated(mixed_spec, 0.7, -0.4, 0.2)
     np.testing.assert_allclose(
-        eval_permittivity(tra, x + 0.7, y - 0.4, z + 0.2),
-        eval_permittivity(mixed_spec, x, y, z), rtol=0, atol=1e-12)
+        point_oracle.permittivity(tra, x + 0.7, y - 0.4, z + 0.2),
+        point_oracle.permittivity(mixed_spec, x, y, z), rtol=0, atol=1e-12)
 
 
 def test_bounds_cover_union(mixed_spec):
@@ -231,7 +269,7 @@ def test_bounds_cover_union(mixed_spec):
     x = rng.uniform(-6, 6, 3000)
     y = rng.uniform(-6, 6, 3000)
     z = rng.uniform(1, 7, 3000)
-    inside = eval_permittivity(mixed_spec, x, y, z) != 1.0
+    inside = point_oracle.permittivity(mixed_spec, x, y, z) != 1.0
     assert np.all(x[inside] >= xmin) and np.all(x[inside] <= xmax)
     assert np.all(y[inside] >= ymin) and np.all(y[inside] <= ymax)
     assert np.all(z[inside] >= zmin) and np.all(z[inside] <= zmax)
@@ -259,7 +297,7 @@ def test_footprint_discs_hold_every_inside_point(mixed_spec):
         x = rng.uniform(xmin - 1, xmax + 1, 20000)
         y = rng.uniform(ymin - 1, ymax + 1, 20000)
         z = rng.uniform(zmin, zmax, 20000)
-        inside = prim.contains(x, y, z)
+        inside = point_oracle.contains(prim, x, y, z)
         assert inside.sum() > 1000
         cx, cy, r = prim.footprint_disc()
         assert np.all(np.hypot(x[inside] - cx, y[inside] - cy) <= r)
@@ -450,6 +488,75 @@ def test_supersample_produces_partial_voxels():
     assert partial.any()
     assert grid.values.min() >= 1.0
     assert grid.values.max() <= 2.0
+
+
+_lateral = st.floats(-3.0, 3.0)
+_extent = st.floats(0.2, 2.0)
+_contrast = st.floats(1.1, 4.0)
+_height = st.tuples(st.floats(1.0, 3.0), _extent).map(
+    lambda zh: (zh[0], zh[0] + zh[1]))
+_scene = st.lists(st.one_of(
+    st.builds(Box, center=st.tuples(_lateral, _lateral, st.floats(1.0, 4.0)),
+              half_extents=st.tuples(_extent, _extent, _extent),
+              angle_deg=st.floats(0.0, 180.0), contrast=_contrast),
+    st.builds(lambda c, z, r, eps: Cylinder(*c, *z, r, eps),
+              st.tuples(_lateral, _lateral), _height, _extent, _contrast),
+    st.builds(Sphere, center=st.tuples(_lateral, _lateral, st.floats(1.0, 4.0)),
+              radius=_extent, contrast=_contrast),
+    st.builds(lambda v, z, eps: ExtrudedPolygon(v, *z, eps),
+              st.lists(st.tuples(_lateral, _lateral), min_size=3, max_size=6)
+              .map(tuple), _height, _contrast)),
+    min_size=1, max_size=4).map(PhantomSpec)
+
+
+def _off_faces(spec, x, y, z, eps=1e-7):
+    """Where the closed rule keeps its value under lateral shifts by eps.
+
+    A point within eps/sqrt(2) of a lateral face, where the closed and the
+    half-open rule may differ, changes value under one of the shifts.
+    """
+    here = point_oracle.permittivity(spec, x, y, z)
+    keep = np.ones(here.shape, dtype=bool)
+    for dx, dy in ((eps, 0), (-eps, 0), (0, eps), (0, -eps)):
+        keep &= point_oracle.permittivity(spec, x + dx, y + dy, z) == here
+    return keep
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=_scene, seed=st.integers(0, 2**32 - 1),
+       supersample=st.booleans())
+def test_parity_rule_matches_closed_rule_off_faces(spec, seed, supersample):
+    """The program's one inside rule against the closed point tests.
+
+    Random planes at random heights go through eval_permittivity, and a
+    voxel grid through rasterize; every value whose sample points all lie
+    off the lateral faces must match the oracle exactly.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-6.0, 6.0, 300)
+    y = rng.uniform(-6.0, 6.0, 300)
+    z = rng.uniform(0.5, 7.0, 8)
+    got = eval_permittivity(spec, x, y, z)
+    want = point_oracle.permittivity(spec, x, y, z[:, None])
+    keep = _off_faces(spec, x, y, z[:, None])
+    assert keep.mean() > 0.9
+    np.testing.assert_array_equal(got[keep], want[keep])
+
+    h = 0.61
+    lo = np.floor(np.array(spec.bounds()[0::2]) / h) - 1
+    shape = tuple(int(n) for n in np.ceil(np.array(spec.bounds()[1::2]) / h)
+                  + 1 - lo)
+    grid = rasterize(spec, shape, h, lo * h, supersample=supersample)
+    want = point_oracle.raster(spec, shape, h, lo * h, supersample)
+    centres = [h * (lo[i] + np.arange(n) + 0.5) for i, n in enumerate(shape)]
+    keep = np.ones(grid.values.shape, dtype=bool)
+    offsets = (-0.25, 0.25) if supersample else (0.0,)
+    for ox, oy, oz in itertools.product(offsets, repeat=3):
+        keep &= _off_faces(spec, centres[0][None, None, :] + ox * h,
+                           centres[1][None, :, None] + oy * h,
+                           centres[2][:, None, None] + oz * h)
+    assert keep.mean() > 0.9
+    np.testing.assert_array_equal(grid.values[keep], want[keep])
 
 
 def test_raster_grid_must_cover_phantom():

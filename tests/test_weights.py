@@ -14,13 +14,13 @@ from capradon.weights import (
     WeightFileError,
     WeightGrid,
     condition_weight,
-    depth_profile,
     load_weight,
     pack_weight,
     save_weight,
     synthesize_weight,
 )
 
+from depth_profile import depth_profile
 from potential_oracle import potential
 
 
