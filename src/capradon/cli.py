@@ -35,7 +35,6 @@ from .forward import (
 from .greenfn import potential_coefficients
 from .phantom import (
     PhantomParseError,
-    VoxelGrid,
     parse_phantom,
     rasterize,
     save_voxels,
@@ -175,7 +174,7 @@ def resolve_config(config_path=None, sets=()):
 
     cfg also holds what the stages run on, built here so that bad input
     fails before a stage writes: `phantom_text`, `phantom_spec`,
-    `geometry`, `filter` and `voxel_box` (None for an empty scene).
+    `geometry`, `filter` and `voxel_box`.
     """
     raw = dict(_DEFAULTS)
     if config_path is not None:
@@ -240,21 +239,26 @@ def resolve_config(config_path=None, sets=()):
             _check_scan_circle(bounds, cfg["geometry"].scan_radius)
         except BoundingBoxError as exc:
             raise ConfigError(f"bad phantom: {exc}") from None
-    cfg["voxel_box"] = box = (None if bounds is None
-                              else _voxel_box(bounds, cfg["voxel_dx"]))
+    cfg["voxel_box"] = box = _voxel_box(bounds, cfg["voxel_dx"])
     # the count is NaN when h underflows the bounds
-    if box is not None and not np.prod(box[0]) <= _MAX_VALUES:
+    if not np.prod(box[0]) <= _MAX_VALUES:
         raise ConfigError(
             f"voxel_dx={cfg['voxel_dx']!r} is too fine: the phantom "
             f"raster would exceed {_MAX_VALUES} voxels")
+    # the sweep's samples are scaled by the area of one weight cell
+    if not math.isfinite((cfg["dx"] * cfg["pitch"])
+                         * (cfg["dz"] * cfg["pitch"])):
+        raise ConfigError(f"pitch={cfg['pitch']!r} is too large: the area "
+                          "of a weight cell overflows a float")
     for what, count in _array_sizes(cfg).items():
         if not count <= _MAX_VALUES:
             raise ConfigError(f"the {what} would hold {count:.3g} values, "
                               f"more than {_MAX_VALUES}")
     if cfg["render"] not in _RENDER_MODES:
         raise ConfigError(f"render must be one of {_RENDER_MODES}")
-    if cfg["render"] == "fixed" and cfg["render_hi"] <= cfg["render_lo"]:
-        raise ConfigError("render_hi must exceed render_lo")
+    if (cfg["render"] == "fixed"
+            and not 0 < cfg["render_hi"] - cfg["render_lo"] < math.inf):
+        raise ConfigError("render_hi - render_lo must be positive and finite")
     if not cfg["outdir"]:
         raise ConfigError("outdir is empty; use . for the current directory")
     return cfg
@@ -266,13 +270,15 @@ def _array_sizes(cfg):
     Counts are floats, so that a huge setting gives inf instead of raising;
     an integer setting past the limit is clipped to just past it.
     """
-    n, p, size = (float(min(cfg[key], _MAX_VALUES + 1))
-                  for key in ("n", "n_angles", "image_size"))
+    n, p, size, order = (float(min(cfg[key], _MAX_VALUES + 1))
+                         for key in ("n", "n_angles", "image_size",
+                                     "green_order"))
     dx, pad, kmax = cfg["dx"], cfg["x_pad"], max(cfg["gaps"])
     # every gap's window ends 2n pitches plus 2 x_pad past where the first
     # detector's window starts
     lines = (2 * n + 2 * pad) / dx + 1
     return {
+        "interpolation system ((green_order+1)^2)": (order + 1) ** 2,
         "weight grid (z_max/dz x potential lattice)":
             cfg["z_max"] / cfg["dz"] * ((2 * kmax + 2 * pad) / dx + 1),
         "sweep (n_angles x lattice lines)": p * lines,
@@ -296,6 +302,8 @@ def render_pgm(image, path, mode="symmetric", lo=None, hi=None):
         lo_v, hi_v = float(lo), float(hi)
     else:
         raise ValueError(f"mode must be one of {_RENDER_MODES}")
+    if not math.isfinite(hi_v - lo_v):
+        raise ValueError(f"value range {lo_v!r} to {hi_v!r} overflows a float")
     if hi_v > lo_v:
         scaled = (image - lo_v) / (hi_v - lo_v) * 65535.0
         pixels = np.clip(np.floor(scaled + 0.5), 0, 65535).astype(">u2")
@@ -346,8 +354,11 @@ def _voxel_box(bounds, h):
     """Shape (nx, ny, nz) and origin of the raster around the bounds.
 
     Both come as float arrays, so that a tiny h gives inf or NaN instead
-    of raising.
+    of raising.  An empty scene (bounds None) gets one background voxel
+    at the origin.
     """
+    if bounds is None:
+        return np.ones(3), np.zeros(3)
     with np.errstate(over="ignore", invalid="ignore"):
         lo = np.floor(np.asarray(bounds[0::2]) / h) - 1
         hi = np.ceil(np.asarray(bounds[1::2]) / h) + 1
@@ -355,14 +366,9 @@ def _voxel_box(bounds, h):
 
 
 def _stage_phantom(cfg, outdir):
-    h = cfg["voxel_dx"]
-    if cfg["voxel_box"] is None:
-        grid = VoxelGrid(values=np.ones((1, 1, 1)), spacing=(h, h, h),
-                         origin=(0.0, 0.0, 0.0))
-    else:
-        shape, origin = cfg["voxel_box"]
-        grid = rasterize(cfg["phantom_spec"], tuple(int(n) for n in shape),
-                         h, origin, supersample=cfg["supersample"])
+    shape, origin = cfg["voxel_box"]
+    grid = rasterize(cfg["phantom_spec"], tuple(int(n) for n in shape),
+                     cfg["voxel_dx"], origin, supersample=cfg["supersample"])
     save_voxels(grid, outdir / _VOXELS)
 
 
@@ -379,12 +385,10 @@ def _stage_recon(cfg, outdir):
     if sino.geometry.gaps != cfg["gaps"]:
         raise StageError(f"{_SWEEP} holds gaps {sino.geometry.gaps}, not "
                          f"{cfg['gaps']}; run the forward stage first")
-    stack = reconstruct_layers(sino, cfg["filter"])
-    for k in stack.gaps:
-        save_layer(stack.images[k], k, stack.pixel_pitch,
-                   outdir / _LAYER.format(k))
+    for k, image in reconstruct_layers(sino, cfg["filter"]).items():
+        save_layer(image, k, cfg["pixel_mm"], outdir / _LAYER.format(k))
         if cfg["csv"]:
-            export_layer_csv(stack.images[k], outdir / _LAYER_CSV.format(k))
+            export_layer_csv(image, outdir / _LAYER_CSV.format(k))
 
 
 def _stage_render(cfg, outdir):

@@ -38,6 +38,7 @@ from .framing import read_header, read_samples
 from .phantom import (
     PhantomSpec,
     format_phantom,
+    height_groups,
     line_integrals,
     overlap_clusters,
 )
@@ -128,14 +129,10 @@ class SinogramSet:
     """Per-gap sinograms plus the geometry and provenance that made them."""
 
     geometry: SensorGeometry
-    angles: np.ndarray
     data: dict
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.angles = np.asarray(self.angles, dtype=float)
-        if self.angles.shape != (self.geometry.n_angles,):
-            raise ValueError("angles length must match geometry.n_angles")
         self.data = {int(k): np.asarray(v, dtype=float)
                      for k, v in self.data.items()}
         if set(self.data) != set(self.geometry.gaps):
@@ -154,6 +151,10 @@ class SinogramSet:
                                  "'=' not allowed in keys")
             meta[k] = v
         self.metadata = meta
+
+    @property
+    def angles(self):
+        return self.geometry.angles()
 
 
 def _xy_corners(bounds):
@@ -253,12 +254,7 @@ def simulate_sweep(spec, weights, geometry, metadata=None):
         # Heights whose footprint tokens agree cut the cluster in the same
         # cross-sections, so they share one block of line integrals and
         # their weight rows are summed once.
-        groups = {}
-        for iz in live:
-            tokens = tuple(prim.footprint_token(z_heights[iz])
-                           for prim in cluster.primitives)
-            if any(tok is not None for tok in tokens):
-                groups.setdefault(tokens, []).append(iz)
+        groups = height_groups(cluster.primitives, z_heights[live])
         first, width = _line_bands(cluster, angles, x_mm)
         chunk = max(1, _CHUNK_LINES // width)
         blocks = [(slice(j, j + chunk),
@@ -268,7 +264,8 @@ def simulate_sweep(spec, weights, geometry, metadata=None):
         # rewrites the same band entries
         proj = np.zeros((p, row_cells * spp))
         cells = proj.reshape(p * row_cells, spp)
-        for tokens, rows in groups.items():
+        for tokens, members in groups.items():
+            rows = live[members]
             zh = z_heights[rows[0]]
             active = PhantomSpec(prim for prim, tok
                                  in zip(cluster.primitives, tokens)
@@ -288,8 +285,7 @@ def simulate_sweep(spec, weights, geometry, metadata=None):
     acc = acc.reshape(p, row_cells, -1) * area
     data = {k: acc[:, :geometry.detector_count(k), i]
             for i, k in enumerate(geometry.gaps)}
-    return SinogramSet(geometry=geometry, angles=angles,
-                       data=data, metadata=meta)
+    return SinogramSet(geometry=geometry, data=data, metadata=meta)
 
 
 def quantize(sino, delta=None):
@@ -311,8 +307,8 @@ def quantize(sino, delta=None):
         data = {k: np.copysign(np.floor(np.abs(a) / delta + 0.5), a) * delta
                 for k, a in sino.data.items()}
     geometry = replace(sino.geometry, quant_delta=delta)
-    return SinogramSet(geometry=geometry, angles=sino.angles.copy(),
-                       data=data, metadata=dict(sino.metadata))
+    return SinogramSet(geometry=geometry, data=data,
+                       metadata=dict(sino.metadata))
 
 
 def pack_sinogram(sino):
@@ -372,7 +368,6 @@ def load_sinogram(path):
     except ValueError as exc:
         raise SinogramFileError(f"bad geometry in header: {exc}") from None
     try:
-        return SinogramSet(geometry=geometry, angles=geometry.angles(),
-                           data=data, metadata=metadata)
+        return SinogramSet(geometry=geometry, data=data, metadata=metadata)
     except ValueError as exc:
         raise SinogramFileError(f"bad payload: {exc}") from None

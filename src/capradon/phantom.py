@@ -48,6 +48,7 @@ __all__ = [
     "VoxelFileError",
     "parse_phantom",
     "format_phantom",
+    "height_groups",
     "eval_permittivity",
     "line_integrals",
     "overlap_clusters",
@@ -334,6 +335,21 @@ class PhantomSpec:
                 boxes[:, 3].max(), boxes[:, 4].min(), boxes[:, 5].max())
 
 
+def height_groups(prims, heights):
+    """Indices of heights grouped by their tuple of footprint tokens.
+
+    Heights in one group cut every primitive in the same cross-section.
+    Heights where no primitive is present are left out; groups come in
+    the order of their first height.
+    """
+    groups = {}
+    for i, z in enumerate(heights):
+        tokens = tuple(prim.footprint_token(z) for prim in prims)
+        if any(tok is not None for tok in tokens):
+            groups.setdefault(tokens, []).append(i)
+    return groups
+
+
 def eval_permittivity(spec, x, y, z):
     """Relative permittivity on one xy plane at each height in z (mm).
 
@@ -348,12 +364,7 @@ def eval_permittivity(spec, x, y, z):
     out = np.ones(z.shape + plane)
     rows = out.reshape((-1,) + plane)
     for prim in spec.primitives:
-        groups = {}
-        for iz, zh in enumerate(z.flat):
-            token = prim.footprint_token(zh)
-            if token is not None:
-                groups.setdefault(token, []).append(iz)
-        for members in groups.values():
+        for members in height_groups((prim,), z.flat).values():
             inside = prim.contains(x, y, z.flat[members[0]])
             rows[members] = np.where(inside, prim.contrast, rows[members])
     return out.item() if out.ndim == 0 else out

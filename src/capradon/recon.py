@@ -13,7 +13,7 @@ before filtering; layers of a stack therefore share one image frame.
 
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "WINDOWS",
     "INTERPOLATIONS",
     "FilterSpec",
-    "LayerStack",
     "LayerFileError",
     "ramp_filter",
     "filter_sinogram",
@@ -36,7 +35,11 @@ __all__ = [
     "import_layer_csv",
 ]
 
-WINDOWS = ("ram-lak", "hamming", "hann", "none")
+# Smoothing windows a + b*cos(pi*omega/0.5) on the ramp; "none" skips
+# filtering altogether.
+_WINDOW_SHAPES = {"ram-lak": (1.0, 0.0), "hamming": (0.54, 0.46),
+                  "hann": (0.5, 0.5)}
+WINDOWS = (*_WINDOW_SHAPES, "none")
 INTERPOLATIONS = ("linear", "nearest")
 
 _ECTL_MAGIC = b"ECTL"
@@ -82,17 +85,12 @@ def ramp_filter(n_det, window="ram-lak"):
     """
     if n_det < 1:
         raise ValueError("n_det must be positive")
-    if window not in ("ram-lak", "hamming", "hann"):
-        raise ValueError("window must be ram-lak, hamming or hann")
+    if window not in _WINDOW_SHAPES:
+        raise ValueError(f"window must be one of {tuple(_WINDOW_SHAPES)}")
+    a, b = _WINDOW_SHAPES[window]
     nfft = 1 << (2 * n_det - 1).bit_length()
     omega = np.fft.rfftfreq(nfft)
-    omega_max = 0.5
-    if window == "hamming":
-        shape = 0.54 + 0.46 * np.cos(np.pi * omega / omega_max)
-    elif window == "hann":
-        shape = 0.5 + 0.5 * np.cos(np.pi * omega / omega_max)
-    else:
-        shape = np.ones_like(omega)
+    shape = a + b * np.cos(np.pi * omega / 0.5)
     resp = omega * shape
     resp[0] = 0.0
     return resp
@@ -196,51 +194,25 @@ def backproject(filtered, angles, spec, det_spacing=1.0):
     return image if filtered.ndim == 3 else image[0]
 
 
-@dataclass
-class LayerStack:
-    """Depth-ordered reconstructed images, one per electrode gap."""
-
-    gaps: tuple
-    images: dict
-    pixel_pitch: float
-    alignment_offsets: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.gaps = tuple(int(k) for k in self.gaps)
-        if tuple(sorted(self.gaps)) != self.gaps:
-            raise ValueError("gaps must be sorted ascending")
-        self.images = {int(k): np.asarray(v, dtype=float)
-                       for k, v in self.images.items()}
-        if set(self.images) != set(self.gaps):
-            raise ValueError("images keys must match gaps")
-        shapes = {v.shape for v in self.images.values()}
-        if len(shapes) != 1:
-            raise ValueError("all layers must share one shape")
-        (shape,) = shapes
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError("layers must be square 2D images")
-
-
 def reconstruct_layers(sino, spec):
-    """Filtered backprojection of every gap onto a common image frame."""
+    """Filtered backprojection of every gap onto a common image frame.
+
+    Returns {gap: image} in gap order.
+    """
     geom = sino.geometry
     d = geom.pitch
     master = (np.arange(geom.electrode_count) - geom.n) * d
     filtered = []
-    offsets = {}
     for k in geom.gaps:
-        offset = k * d / 2.0
-        src = geom.detector_offsets(k) + offset
+        src = geom.detector_offsets(k) + k * d / 2.0
         rows = sino.data[k]
         shifted = np.empty((rows.shape[0], master.size))
         for j in range(rows.shape[0]):
             shifted[j] = np.interp(master, src, rows[j], left=0.0, right=0.0)
         filtered.append(filter_sinogram(shifted, spec.window))
-        offsets[k] = offset
-    images = backproject(np.stack(filtered), sino.angles, spec, det_spacing=d)
-    return LayerStack(gaps=geom.gaps, images=dict(zip(geom.gaps, images)),
-                      pixel_pitch=spec.pixel_pitch,
-                      alignment_offsets=offsets)
+    images = backproject(np.stack(filtered), geom.angles(), spec,
+                         det_spacing=d)
+    return dict(zip(geom.gaps, images))
 
 
 def pack_layer(image, gap, pitch):

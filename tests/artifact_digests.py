@@ -11,7 +11,8 @@ the output directory and stage times.
 
 Runs: the default scene with csv=1; the benchmark's mixed scene, plain and
 perturbed with seed 7; the mixed scene plus a rotated box and a concave
-polygon; and the default scene with supersample=1 at voxel_dx=0.5.
+polygon; the default scene with supersample=1 at voxel_dx=0.5; and the
+empty scene with supersample 0 and 1.
 """
 
 import contextlib
@@ -39,6 +40,8 @@ def cases(run):
         ("mixed-s7", run.mixed_scene(random.Random(7)), mixed),
         ("mixed-extra", run.mixed_scene(None) + EXTRA, mixed),
         ("supersample", None, ["supersample=1", "voxel_dx=0.5"]),
+        ("empty", "", []),
+        ("empty-supersample", "", ["supersample=1"]),
     ]
 
 

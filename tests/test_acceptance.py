@@ -323,15 +323,15 @@ _DEEP_PX = (_CENTER, _CENTER + 6)
 
 
 def _layer_metrics(stack):
-    img1 = stack.images[1]
+    img1 = stack[1]
     got_shallow = _peak_pixel(img1, np.arange(0, _CENTER))
     got_deep = _peak_pixel(img1, np.arange(_CENTER + 1, img1.shape[1]))
     off_shallow = max(abs(got_shallow[0] - _SHALLOW_PX[0]),
                       abs(got_shallow[1] - _SHALLOW_PX[1]))
     off_deep = max(abs(got_deep[0] - _DEEP_PX[0]),
                    abs(got_deep[1] - _DEEP_PX[1]))
-    deep = [_window_peak(stack.images[k], *_DEEP_PX) for k in (1, 2, 3, 4)]
-    shallow = [_window_peak(stack.images[k], *_SHALLOW_PX)
+    deep = [_window_peak(stack[k], *_DEEP_PX) for k in (1, 2, 3, 4)]
+    shallow = [_window_peak(stack[k], *_SHALLOW_PX)
                for k in (1, 2, 3, 4)]
     return (got_shallow, off_shallow), (got_deep, off_deep), deep, shallow
 

@@ -141,6 +141,27 @@ def test_render_pgm_fixed_clips(tmp_path):
         render_pgm(np.zeros((2, 2)), path, mode="fixed", lo=1.0, hi=1.0)
 
 
+@pytest.mark.parametrize("mode, image, lo, hi", [
+    ("fixed", np.zeros((2, 2)), -1e308, 1e308),
+    ("minmax", np.array([[-1e308, 1e308]]), None, None),
+    ("symmetric", np.array([[1e308, 0.0]]), None, None),
+])
+def test_render_pgm_rejects_a_range_that_overflows(tmp_path, mode, image,
+                                                   lo, hi):
+    # hi - lo is inf, which used to map every pixel to 0
+    path = tmp_path / "img.pgm"
+    with pytest.raises(ValueError, match="overflows"):
+        render_pgm(image, path, mode=mode, lo=lo, hi=hi)
+    assert not path.exists()
+
+
+def test_render_range_that_overflows_exits_2(tmp_path, capsys):
+    args = small_args(tmp_path, render="fixed", render_lo="-1e308",
+                      render_hi="1e308")
+    assert main(["pipeline"] + args) == 2
+    assert "render_hi - render_lo must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
 
 def test_read_pgm_returns_comments_in_order(tmp_path):
     path = tmp_path / "img.pgm"
@@ -325,12 +346,15 @@ def test_non_finite_phantom_numbers_exit_2(tmp_path, capsys, line):
     ("n=10000000", "sweep"),
     ("image_size=1000000", "layer stack"),
     ("image_size=1" + "0" * 400, "layer stack"),
+    ("green_order=100000", "interpolation system"),
+    ("pitch=1e300", "area of a weight cell"),
 ])
 def test_late_failures_are_config_errors(tmp_path, capsys, setting,
                                          message):
     # each of these used to fail inside a stage, after earlier stages had
-    # written their files; the sizes of the voxel raster, the weight grid,
-    # the sweep and the layer stack are checked before any is allocated
+    # written their files; the sizes of the voxel raster, the interpolation
+    # system, the weight grid, the sweep and the layer stack are checked
+    # before any is allocated, and so is the sweep's cell area
     args = small_args(tmp_path) + ["--set", setting]
     assert main(["pipeline"] + args) == 2
     assert message in capsys.readouterr().err

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from capradon.forward import (
@@ -97,18 +97,17 @@ def test_sinogram_set_validation(geom):
     good = {k: np.zeros((geom.n_angles, geom.detector_count(k)))
             for k in geom.gaps}
     with pytest.raises(ValueError):
-        SinogramSet(geometry=geom, angles=geom.angles(), data={1: good[1]})
+        SinogramSet(geometry=geom, data={1: good[1]})
     bad_shape = dict(good)
     bad_shape[2] = np.zeros((geom.n_angles, 3))
     with pytest.raises(ValueError):
-        SinogramSet(geometry=geom, angles=geom.angles(), data=bad_shape)
+        SinogramSet(geometry=geom, data=bad_shape)
     bad_vals = {k: v.copy() for k, v in good.items()}
     bad_vals[1][0, 0] = np.nan
     with pytest.raises(ValueError):
-        SinogramSet(geometry=geom, angles=geom.angles(), data=bad_vals)
+        SinogramSet(geometry=geom, data=bad_vals)
     with pytest.raises(ValueError):
-        SinogramSet(geometry=geom, angles=geom.angles(), data=good,
-                    metadata={"a=b": "c"})
+        SinogramSet(geometry=geom, data=good, metadata={"a=b": "c"})
 
 
 def test_slice_empty_phantom_is_zero():
@@ -229,6 +228,7 @@ def _brute_sweep(spec, grid, geom):
     """Scalar-loop exact reference for a single gap."""
     nd = geom.detector_count(grid.gap)
     rows = np.zeros((geom.n_angles, nd))
+    lines = {}   # neighbouring detectors share lattice lines
     for j, th in enumerate(geom.angles()):
         for i in range(nd):
             a = (i - geom.n) * geom.pitch
@@ -240,8 +240,9 @@ def _brute_sweep(spec, grid, geom):
                         continue
                     zmm = (geom.standoff
                            + (grid.z_origin + iz * grid.dz) * geom.pitch)
-                    acc += grid.values[iz, jx] * _exact_line(spec, th, xmm,
-                                                             zmm)
+                    if (j, xmm, zmm) not in lines:
+                        lines[j, xmm, zmm] = _exact_line(spec, th, xmm, zmm)
+                    acc += grid.values[iz, jx] * lines[j, xmm, zmm]
             rows[j, i] = acc * (grid.dx * geom.pitch) * (grid.dz * geom.pitch)
     return rows
 
@@ -309,6 +310,93 @@ def test_clustered_sweep_matches_scalar_reference(coeffs):
     # 0.3125 mm apart put several in each disc's rim
     w = make_weights(coeffs, gaps, dx=0.125, z_max=1.0, x_pad=0.25)
     _assert_gaps_match_reference(_CLUSTERED, w, geom)
+
+
+# Random scenes under an n=4 head (scan radius 10 mm; lattice lines 1.25 mm
+# apart out to 11.25 mm).  The live weight rows sit at 3.25, 3.875 and
+# 4.5 mm.  z faces are drawn from heights on them and between or beyond
+# them, all multiples of 1/8 mm, so the face tests are exact; every z
+# range covers at least the row at 3.875 mm.
+_RANDOM_GEOM = SensorGeometry(n=4, pitch=2.5, n_angles=3, standoff=2.0,
+                              gaps=(1, 2, 3, 4))
+# half the side of the square inscribed in the scan circle
+_SIDE = _RANDOM_GEOM.scan_radius / math.sqrt(2.0)
+_z_faces = st.tuples(st.sampled_from((2.5, 3.0, 3.25, 3.5, 3.875)),
+                     st.sampled_from((3.875, 4.25, 4.5, 5.0))).filter(
+                         lambda z: z[0] < z[1])
+_half = st.floats(0.3, 6.5)
+_radius = st.floats(0.3, 4.0)
+_eps = st.floats(0.25, 4.0)
+
+
+def _star_polygon(turns, radii, z, eps):
+    # vertices at increasing polar angles around the origin: a simple
+    # polygon, concave where the radii dip
+    angles = np.cumsum(turns) * (2 * math.pi / sum(turns))
+    return ExtrudedPolygon(tuple((r * math.cos(a), r * math.sin(a))
+                                 for a, r in zip(angles, radii)), *z, eps)
+
+
+def _shift(lo, hi):
+    # the ends put the primitive against a side of the square
+    return st.one_of(st.sampled_from((lo, hi)), st.floats(lo, hi))
+
+
+def _placed(prim):
+    # a shift that keeps the bounds in the inscribed square, so that any
+    # scene of such primitives lies in the scan circle
+    xmin, xmax, ymin, ymax = prim.bounds()[:4]
+    return st.builds(
+        lambda dx, dy: translated(PhantomSpec((prim,)), dx, dy).primitives[0],
+        _shift(-_SIDE - xmin, _SIDE - xmax),
+        _shift(-_SIDE - ymin, _SIDE - ymax))
+
+
+# Oblong boxes and polygons near the square's sides have footprint discs
+# that reach past the lattice ends, so their bands are moved back inside.
+_random_primitive = st.one_of(
+    st.builds(lambda hx, hy, z, a, eps: Box(
+                  (0.0, 0.0, (z[0] + z[1]) / 2), (hx, hy, (z[1] - z[0]) / 2),
+                  a, eps),
+              _half, _half, _z_faces, st.floats(0.0, 180.0), _eps),
+    st.builds(lambda z, r, eps: Cylinder(0.0, 0.0, *z, r, eps),
+              _z_faces, _radius, _eps),
+    st.builds(lambda cz, r, eps: Sphere((0.0, 0.0, cz), r, eps),
+              st.floats(3.0, 4.75), _radius, _eps),
+    st.integers(3, 6).flatmap(lambda m: st.builds(
+        _star_polygon, st.lists(st.floats(0.2, 1.0), min_size=m, max_size=m),
+        st.lists(_half, min_size=m, max_size=m), _z_faces, _eps)),
+).filter(lambda p: max(p.bounds()[1] - p.bounds()[0],
+                       p.bounds()[3] - p.bounds()[2]) <= 2 * _SIDE
+         ).flatmap(_placed)
+
+
+@pytest.fixture(scope="module")
+def random_weights(coeffs):
+    return make_weights(coeffs, _RANDOM_GEOM.gaps, dx=0.5, z_max=1.0,
+                        x_pad=0.5)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(prims=st.integers(1, 5).flatmap(
+    lambda m: st.lists(_random_primitive, min_size=m, max_size=m)))
+# discs that touch at one point, linking two cylinders into one cluster
+@example(prims=[Cylinder(-2.0, 0.5, 3.0, 4.5, 2.0, 2.0),
+                Cylinder(2.0, 0.5, 3.25, 4.25, 2.0, 0.5)])
+# a box whose top face and a cylinder whose bottom face share the weight
+# row at 3.875 mm, where the cylinder, listed last, wins
+@example(prims=[Box((0.5, -1.0, 3.5625), (3.0, 2.0, 0.3125), 30.0, 2.0),
+                Cylinder(1.0, 0.0, 3.875, 4.5, 2.5, 0.5)])
+# a sphere in one cluster with a box, over all three live rows
+@example(prims=[Box((0.0, 1.0, 3.875), (3.0, 1.5, 0.625), 15.0, 1.8),
+                Sphere((1.5, 0.0, 3.9), 2.2, 0.6)])
+# an oblong box at the square's side, whose disc reaches 13.3 mm at angle
+# 0, past the lattice end at 11.25 mm
+@example(prims=[Box((6.77, 0.0, 3.875), (0.3, 6.5, 0.625), 0.0, 2.0)])
+def test_random_sweep_matches_scalar_reference(random_weights, prims):
+    _assert_gaps_match_reference(PhantomSpec(prims), random_weights,
+                                 _RANDOM_GEOM)
 
 
 def _midpoint_sweep(spec, grid, geom, step):
@@ -468,7 +556,7 @@ def test_quantize_spot_values(geom):
     data = {k: np.zeros((geom.n_angles, geom.detector_count(k)))
             for k in geom.gaps}
     data[1][0, :7] = [0.5, -0.5, 0.09, 0.1, 0.0, 0.31, -0.29]
-    sino = SinogramSet(geometry=geom, angles=geom.angles(), data=data)
+    sino = SinogramSet(geometry=geom, data=data)
     q = quantize(sino, 0.2)
     np.testing.assert_allclose(q.data[1][0, :7],
                                [0.6, -0.6, 0.0, 0.2, 0.0, 0.4, -0.2],

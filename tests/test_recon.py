@@ -11,7 +11,6 @@ from capradon.forward import SensorGeometry, SinogramSet
 from capradon.recon import (
     FilterSpec,
     LayerFileError,
-    LayerStack,
     backproject,
     export_layer_csv,
     filter_sinogram,
@@ -273,19 +272,19 @@ def test_reconstruction_is_linear():
     def rand_set():
         data = {k: rng.normal(size=(geom.n_angles, geom.detector_count(k)))
                 for k in geom.gaps}
-        return SinogramSet(geometry=geom, angles=geom.angles(), data=data)
+        return SinogramSet(geometry=geom, data=data)
 
     s_a, s_b = rand_set(), rand_set()
-    s_sum = SinogramSet(geometry=geom, angles=geom.angles(),
+    s_sum = SinogramSet(geometry=geom,
                         data={k: s_a.data[k] + s_b.data[k]
                               for k in geom.gaps})
     r_a = reconstruct_layers(s_a, spec)
     r_b = reconstruct_layers(s_b, spec)
     r_sum = reconstruct_layers(s_sum, spec)
     for k in geom.gaps:
-        want = r_a.images[k] + r_b.images[k]
+        want = r_a[k] + r_b[k]
         peak = np.abs(want).max()
-        np.testing.assert_allclose(r_sum.images[k], want, rtol=0,
+        np.testing.assert_allclose(r_sum[k], want, rtol=0,
                                    atol=1e-10 * peak)
 
 
@@ -359,27 +358,14 @@ def test_layers_share_one_frame():
             h2 = radius**2 - (centers - sc) ** 2
             rows[j] = np.where(h2 > 0, 2 * np.sqrt(np.maximum(h2, 0.0)), 0.0)
         data[k] = rows
-    sino = SinogramSet(geometry=geom, angles=angles, data=data)
+    sino = SinogramSet(geometry=geom, data=data)
     spec = FilterSpec(window="hamming", size=21, pixel_pitch=2.5)
     stack = reconstruct_layers(sino, spec)
-    assert stack.gaps == (1, 2, 3, 4)
-    assert stack.alignment_offsets == {k: k * 2.5 / 2.0 for k in stack.gaps}
+    assert list(stack) == [1, 2, 3, 4]
     want = (round(y0 / 2.5) + 10, round(x0 / 2.5) + 10)
-    for k in stack.gaps:
-        got = np.unravel_index(np.argmax(np.abs(stack.images[k])),
-                               stack.images[k].shape)
+    for k, image in stack.items():
+        got = np.unravel_index(np.argmax(np.abs(image)), image.shape)
         assert abs(got[0] - want[0]) <= 1 and abs(got[1] - want[1]) <= 1
-
-
-def test_layer_stack_validation():
-    with pytest.raises(ValueError):
-        LayerStack(gaps=(2, 1), images={1: np.zeros((3, 3)),
-                                        2: np.zeros((3, 3))}, pixel_pitch=1.0)
-    with pytest.raises(ValueError):
-        LayerStack(gaps=(1,), images={2: np.zeros((3, 3))}, pixel_pitch=1.0)
-    with pytest.raises(ValueError):
-        LayerStack(gaps=(1, 2), images={1: np.zeros((3, 3)),
-                                        2: np.zeros((4, 4))}, pixel_pitch=1.0)
 
 
 def test_layer_round_trip(tmp_path):
