@@ -254,6 +254,21 @@ def resolve_config(config_path=None, sets=()):
         if not count <= _MAX_VALUES:
             raise ConfigError(f"the {what} would hold {count:.3g} values, "
                               f"more than {_MAX_VALUES}")
+    # quantize divides every sample by the step; bound the samples by the
+    # largest contrast over a chord of the scan circle, summed with weights
+    # of at most 1 over every cell of the largest window
+    if cfg["quantize"] and cfg["quant_delta"] > 0:
+        contrast = max((abs(p.contrast - 1.0)
+                        for p in cfg["phantom_spec"].primitives), default=0.0)
+        cells = ((cfg["z_max"] / cfg["dz"] + 1)
+                 * ((max(cfg["gaps"]) + 2 * cfg["x_pad"]) / cfg["dx"] + 2))
+        peak = (contrast * 2 * cfg["geometry"].scan_radius
+                * (cfg["dx"] * cfg["pitch"]) * (cfg["dz"] * cfg["pitch"])
+                * cells)
+        if not math.isfinite(peak / cfg["quant_delta"]):
+            raise ConfigError(
+                f"quant_delta={cfg['quant_delta']!r} is too small: samples "
+                f"up to {peak:.3g} divided by it overflow a float")
     if cfg["render"] not in _RENDER_MODES:
         raise ConfigError(f"render must be one of {_RENDER_MODES}")
     if (cfg["render"] == "fixed"

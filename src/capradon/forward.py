@@ -13,14 +13,19 @@ the manner of Siddon's exact path (Med. Phys. 12(2), 1985).  The
 transform is linear, so the phantom is split into overlap clusters
 (phantom.overlap_clusters) whose cross-sections never meet, and the
 sweep is the sum of the clusters' sweeps.  Within a cluster, heights
-that cut it in the same cross-sections form one group: their weight
-rows are summed once, and each group costs one block of line integrals
-and one polyphase window product for all gaps (Vaidyanathan, Multirate
-Systems and Filter Banks, 1993): the line integrals are cut into cells
-of one pitch, and the detector windows of every gap become one BLAS
-matrix product per cell offset within a window.  At each angle only the
-lattice lines in a band around the cluster's footprint discs are
-integrated; the others miss it and contribute exactly 0.
+that cut it in the same cross-sections form one group, whose weight
+rows are summed once.  Groups with the same members present share one
+band of lattice lines per angle, around those members' footprint
+discs; the lines outside it miss them and contribute exactly 0.  The
+(group, angle) rows of such a set are integrated in chunks of at most
+_CHUNK_LINES lines, one line_integrals call each, every row at its own
+angle and height, so the calls follow the lines integrated, not the
+number of groups.  A chunk holds whole groups at every angle, or one
+group at a block of angles; each block of groups then takes one
+polyphase window product for all gaps (Vaidyanathan, Multirate Systems
+and Filter Banks, 1993): the line integrals are cut into cells of one
+pitch, and the detector windows of every gap and group become one BLAS
+matrix product per cell offset within a window.
 
 Sensor-frame convention: the line with signed offset s at angle theta
 passes through the points (s*cos(theta) - t*sin(theta),
@@ -60,13 +65,12 @@ _ECTS_MAGIC = b"ECTS"
 _ECTS_VERSION = 1
 _ECTS_HEADER = struct.Struct("<4sH2I3dH")
 _GAP_TAG = struct.Struct("<H")
-# Lines per line_integrals call, a block of angles of one band each.  A
-# call holds a few arrays of one value per line (4096 doubles are 32 KiB)
-# and a few of one value per crossing, which stay under glibc's initial
-# 128 KiB mmap threshold up to three crossings per line.  So the calls
-# reuse heap memory instead of mapping fresh pages, and they never free a
-# large block, which would raise glibc's dynamic mmap threshold and change
-# how the stages after the sweep allocate.
+# Lines per line_integrals call: whole height groups at every angle, or
+# one group at a block of angles, each row one band.  A call holds a few
+# arrays of one value per line (4096 doubles are 32 KiB) and a few of one
+# value per crossing, which stay under glibc's initial 128 KiB mmap
+# threshold up to three crossings per line.  So the calls reuse heap
+# memory instead of mapping fresh pages.
 _CHUNK_LINES = 4096
 
 
@@ -234,58 +238,78 @@ def simulate_sweep(spec, weights, geometry, metadata=None):
                     for k in geometry.gaps)
     x_mm = ((-geometry.n + ref.x_origin + np.arange(n_lattice) * ref.dx)
             * geometry.pitch)
-    z_heights = (geometry.standoff
-                 + (ref.z_origin + np.arange(ref.nz) * ref.dz)
-                 * geometry.pitch)
     # heights whose weight row is zero in every gap (below z_cut) add 0
     live = np.flatnonzero(np.any([g.values.any(axis=1)
                                   for g in grids.values()], axis=0))
+    z_live = (geometry.standoff
+              + (ref.z_origin + live * ref.dz) * geometry.pitch)
     # Polyphase window product: line j = c*spp + r of a window sits in
-    # cell c (spp lines, one pitch) at phase r.  Each angle's row of line
-    # integrals is padded to row_cells cells, and detector d's window sum
-    # over all gaps is sum_c cells[d + c] @ wm[c], where wm[c] holds phase
-    # r of every gap's summed weight row at window line c*spp + r.  With
-    # the angles' rows stacked, each c is one BLAS product; d + c stays
-    # below row_cells, so no sum reaches the next angle's row.
+    # cell c (spp lines, one pitch) at phase r.  Each (angle, group) row of
+    # line integrals is padded to row_cells cells, and detector d's window
+    # sum over all gaps is sum_c cells[d + c] @ wm[c], where wm[c] holds
+    # phase r of every group's summed weight row of every gap at window
+    # line c*spp + r.  With the angles' rows stacked and the groups side
+    # by side, each c is one BLAS product; d + c stays below row_cells, so
+    # no sum reaches the next angle's row.
     win_cells = -(-max(g.nx for g in grids.values()) // spp)
     row_cells = geometry.detector_count(geometry.gaps[0]) + win_cells
     acc = np.zeros((p * row_cells, len(geometry.gaps)))
     for cluster in overlap_clusters(spec):
         # Heights whose footprint tokens agree cut the cluster in the same
-        # cross-sections, so they share one block of line integrals and
-        # their weight rows are summed once.
-        groups = height_groups(cluster.primitives, z_heights[live])
-        first, width = _line_bands(cluster, angles, x_mm)
-        chunk = max(1, _CHUNK_LINES // width)
-        blocks = [(slice(j, j + chunk),
-                   first[j:j + chunk, None] + np.arange(width))
-                  for j in range(0, p, chunk)]
-        # one row of line integrals per angle; every group of the cluster
-        # rewrites the same band entries
-        proj = np.zeros((p, row_cells * spp))
-        cells = proj.reshape(p * row_cells, spp)
-        for tokens, members in groups.items():
-            rows = live[members]
-            zh = z_heights[rows[0]]
-            active = PhantomSpec(prim for prim, tok
-                                 in zip(cluster.primitives, tokens)
-                                 if tok is not None)
-            for block, lines in blocks:
-                np.put_along_axis(
-                    proj[block], lines,
-                    line_integrals(active, angles[block, None], x_mm[lines],
-                                   zh), axis=1)
-            wm = np.zeros((win_cells * spp, len(geometry.gaps)))
-            for i, k in enumerate(geometry.gaps):
-                wm[:grids[k].nx, i] = grids[k].values[rows].sum(axis=0)
-            wm = wm.reshape(win_cells, spp, -1)
-            for c in range(win_cells):
-                acc[:len(acc) - c] += cells[c:] @ wm[c]
+        # cross-sections, so they share one row of line integrals per
+        # angle and their weight rows are summed once.  Groups with the
+        # same members present share one band of lattice lines.
+        parts = {}
+        for tokens, rows in height_groups(cluster.primitives,
+                                          z_live).items():
+            present = tuple(tok is not None for tok in tokens)
+            parts.setdefault(present, []).append(rows)
+        for present, groups in parts.items():
+            members = PhantomSpec(prim for prim, on
+                                  in zip(cluster.primitives, present) if on)
+            first, width = _line_bands(members, angles, x_mm)
+            per_chunk = max(1, _CHUNK_LINES // width)
+            n_ang, n_grp = min(p, per_chunk), max(1, per_chunk // p)
+            for g0 in range(0, len(groups), n_grp):
+                block = groups[g0:g0 + n_grp]
+                z = z_live[[rows[0] for rows in block]]
+                # proj[angle, line, group], zero outside the band
+                proj = np.zeros((p, row_cells * spp, len(block)))
+                for a0 in range(0, p, n_ang):
+                    a = slice(a0, a0 + n_ang)
+                    lines = first[a, None] + np.arange(width)
+                    np.put_along_axis(
+                        proj[a], lines[..., None],
+                        line_integrals(members, angles[a, None], x_mm[lines],
+                                       z[:, None, None]).transpose(1, 2, 0),
+                        axis=1)
+                wm = _window_weights([grids[k] for k in geometry.gaps],
+                                     [live[rows] for rows in block],
+                                     win_cells, spp)
+                cells = proj.reshape(p * row_cells, spp * len(block))
+                for c in range(win_cells):
+                    acc[:len(acc) - c] += cells[c:] @ wm[c]
     area = (ref.dx * geometry.pitch) * (ref.dz * geometry.pitch)
     acc = acc.reshape(p, row_cells, -1) * area
     data = {k: acc[:, :geometry.detector_count(k), i]
             for i, k in enumerate(geometry.gaps)}
     return SinogramSet(geometry=geometry, data=data, metadata=meta)
+
+
+def _window_weights(grids, block, win_cells, spp):
+    """Summed weight rows of a block of groups, by window cell.
+
+    grids are the weight grids in gap order and block holds each group's
+    weight rows.  Entry [c, r*len(block) + g, i] is group g's summed row
+    of gap i at window line c*spp + r, zero past the gap's window.
+    """
+    rows = np.concatenate(block)
+    starts = np.cumsum([0] + [len(r) for r in block[:-1]])
+    wm = np.zeros((len(block), win_cells * spp, len(grids)))
+    for i, g in enumerate(grids):
+        wm[:, :g.nx, i] = np.add.reduceat(g.values[rows], starts, axis=0)
+    wm = wm.reshape(len(block), win_cells, spp, len(grids))
+    return wm.transpose(1, 2, 0, 3).reshape(win_cells, -1, len(grids))
 
 
 def quantize(sino, delta=None):

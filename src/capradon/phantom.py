@@ -15,8 +15,10 @@ primitive when an odd number of the primitive's crossings lie below it.
 This parity rule is the one inside rule: `contains` applies it to the
 lines at theta 0, whose points are (s, t) = (x, y), so it is half-open on
 lateral faces; each kind's `covers` is its z test, closed on the z faces.
-`crossings` and `line_integrals` broadcast theta against s, so one call
-can take a block of angles (theta[:, None]) with a row of offsets each.
+`crossings` and `line_integrals` broadcast theta, s and z against each
+other, so one call can take a block of rows (theta[:, None] and
+z[:, None]) with a row of offsets each, every row at its own angle and
+height.
 
 Each primitive's `footprint_disc` is a disc that holds its xy
 cross-section at every height.  Primitives whose z ranges overlap and
@@ -78,12 +80,9 @@ def _check_contrast(contrast):
         raise ValueError(f"contrast must be positive, got {contrast}")
 
 
-def _line_shape(theta, s):
-    return np.broadcast(np.asarray(theta), np.atleast_1d(s)).shape
-
-
-def _misses(theta, s, count):
-    return np.full(_line_shape(theta, s) + (count,), np.nan)
+def _line_shape(theta, s, z):
+    return np.broadcast(np.asarray(theta), np.atleast_1d(s),
+                        np.asarray(z)).shape
 
 
 def _disc_crossings(cx, cy, radius, theta, s):
@@ -110,10 +109,26 @@ def _inside(cuts, t):
 class Primitive:
     """Base of the four kinds, which differ only in two methods.
 
-    `covers(z)` is a kind's z test, closed on its z faces, and
-    `crossings(theta, s, z)` gives the t where lines cross its lateral
-    boundary; `contains` and `footprint_token` follow from the two.
+    `covers(z)` is a kind's z test, closed on its z faces, for a height or
+    an array of them, and `_section(theta, s, z)` gives the t where lines
+    cross its lateral boundary at heights it covers; `crossings`,
+    `contains` and `footprint_token` follow from the two.
     """
+
+    def crossings(self, theta, s, z):
+        """The t where each line crosses the boundary, (*lines, cuts).
+
+        theta, s and z broadcast to the lines; NaN marks a cut that a line
+        does not make, and all of a line's cuts are NaN at a height the
+        primitive does not cover.
+        """
+        s = np.atleast_1d(s)
+        if np.ndim(z) == 0:
+            cuts = self._section(theta, s, float(z))
+            return cuts if self.covers(z) else np.full_like(cuts, np.nan)
+        z = np.asarray(z, dtype=float)
+        return np.where(self.covers(z)[..., None], self._section(theta, s, z),
+                        np.nan)
 
     def contains(self, x, y, z):
         """Whether each point (x, y) of a plane at height z lies inside.
@@ -148,11 +163,8 @@ class Box(Primitive):
     def covers(self, z):
         return abs(z - self.center[2]) <= self.half_extents[2]
 
-    def crossings(self, theta, s, z):
+    def _section(self, theta, s, z):
         """Entry and exit t per line, (*lines, 2), by slab clipping."""
-        s = np.atleast_1d(s)
-        if not self.covers(z):
-            return _misses(theta, s, 2)
         hx, hy = self.half_extents[:2]
         a = np.deg2rad(self.angle_deg)
         c, sn = np.cos(theta), np.sin(theta)
@@ -209,12 +221,10 @@ class Cylinder(Primitive):
             raise ValueError("z_hi must exceed z_lo")
 
     def covers(self, z):
-        return self.z_lo <= z <= self.z_hi
+        return (self.z_lo <= z) & (z <= self.z_hi)
 
-    def crossings(self, theta, s, z):
+    def _section(self, theta, s, z):
         """Entry and exit t per line, (*lines, 2)."""
-        if not self.covers(z):
-            return _misses(theta, s, 2)
         return _disc_crossings(self.cx, self.cy, self.radius, theta, s)
 
     def footprint_disc(self):
@@ -240,12 +250,14 @@ class Sphere(Primitive):
     def covers(self, z):
         return abs(z - self.center[2]) <= self.radius
 
-    def crossings(self, theta, s, z):
+    def _section(self, theta, s, z):
         """Entry and exit t per line through the slice at z, (*lines, 2)."""
-        if not self.covers(z):
-            return _misses(theta, s, 2)
         cx, cy, cz = self.center
-        r = np.sqrt(max(self.radius**2 - (z - cz) ** 2, 0.0))
+        # the slice radius of each height in scalar arithmetic, so a row of
+        # lines gets the bits of a call at its height alone
+        radii = [math.sqrt(max(self.radius**2 - (h - cz) ** 2, 0.0))
+                 for h in np.ravel(z).tolist()]
+        r = radii[0] if np.ndim(z) == 0 else np.reshape(radii, np.shape(z))
         return _disc_crossings(cx, cy, r, theta, s)
 
     def footprint_token(self, z):
@@ -280,9 +292,9 @@ class ExtrudedPolygon(Primitive):
                            tuple((float(a), float(b)) for a, b in self.vertices))
 
     def covers(self, z):
-        return self.z_lo <= z <= self.z_hi
+        return (self.z_lo <= z) & (z <= self.z_hi)
 
-    def crossings(self, theta, s, z):
+    def _section(self, theta, s, z):
         """One t per edge and line, (*lines, edges); NaN where none.
 
         An edge counts as crossed when its ends lie on opposite sides of
@@ -291,9 +303,6 @@ class ExtrudedPolygon(Primitive):
         there once or not at all.
         """
         verts = self.vertices
-        if not self.covers(z):
-            return _misses(theta, s, len(verts))
-        s = np.atleast_1d(s)
         c, sn = np.cos(theta), np.sin(theta)
         cols = []
         for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
@@ -350,39 +359,67 @@ def height_groups(prims, heights):
     return groups
 
 
+def _near_disc(prim, x, y):
+    """Slices of the plane's axes that hold every point inside prim.
+
+    They bound the points (x, y) of the plane in the bounding square of
+    the primitive's footprint disc, widened a little against rounding;
+    None when there are none.
+    """
+    cx, cy, r = prim.footprint_disc()
+    reach = r + 1e-9 * (r + abs(cx) + abs(cy))
+    near = (np.abs(x - cx) <= reach) & (np.abs(y - cy) <= reach)
+    if near.ndim == 0:
+        return () if near else None
+    index = np.nonzero(near)
+    if not index[0].size:
+        return None
+    return tuple(slice(i.min(), i.max() + 1) for i in index)
+
+
 def eval_permittivity(spec, x, y, z):
     """Relative permittivity on one xy plane at each height in z (mm).
 
     x and y broadcast to the plane; the result has shape z.shape + plane.
     The last containing primitive wins.  Heights where a primitive's
-    footprint token agrees share one `contains` call.
+    footprint token agrees share one `contains` call, on the part of the
+    plane next to the primitive's footprint disc.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     plane = np.broadcast(x, y).shape
+    x, y = (a.reshape((1,) * (len(plane) - a.ndim) + a.shape) for a in (x, y))
     out = np.ones(z.shape + plane)
     rows = out.reshape((-1,) + plane)
     for prim in spec.primitives:
-        for members in height_groups((prim,), z.flat).values():
-            inside = prim.contains(x, y, z.flat[members[0]])
-            rows[members] = np.where(inside, prim.contrast, rows[members])
+        groups = height_groups((prim,), z.flat)
+        keep = _near_disc(prim, x, y)
+        if not groups or keep is None:
+            continue
+        xs, ys = (a[tuple(k if n > 1 else slice(None)
+                          for k, n in zip(keep, a.shape))] for a in (x, y))
+        for members in groups.values():
+            inside = prim.contains(xs, ys, z.flat[members[0]])
+            part = (members,) + keep
+            rows[part] = np.where(inside, prim.contrast, rows[part])
     return out.item() if out.ndim == 0 else out
 
 
 def line_integrals(spec, theta, s, z):
-    """Exact integral of (permittivity - 1) along each line at height z.
+    """Exact integral of (permittivity - 1) along each line at its height.
 
-    The lines sit at offsets s (mm) and angles theta, broadcast against
-    each other.  All crossings split each line into elementary segments;
-    every primitive whose inside rule holds on a segment overwrites its
-    value in list order, so the last one listed wins, as in
-    eval_permittivity.
+    The lines sit at offsets s (mm), angles theta and heights z (mm),
+    broadcast against each other, so each row of a block of lines can
+    have its own angle and height.  All crossings split each line into
+    elementary segments; every primitive whose inside rule holds on a
+    segment overwrites its value in list order, so the last one listed
+    wins, as in eval_permittivity.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     cuts = [p.crossings(theta, s, z) for p in spec.primitives]
     if not cuts:
-        return np.zeros(_line_shape(theta, s))
+        return np.zeros(_line_shape(theta, s, z))
     ends = np.sort(np.concatenate(cuts, axis=-1), axis=-1)
     # NaN ends sort last, so segments past a line's last crossing vanish
     lengths = np.nan_to_num(np.diff(ends, axis=-1))

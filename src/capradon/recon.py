@@ -184,11 +184,11 @@ def backproject(filtered, angles, spec, det_spacing=1.0):
             j[outside] = n_det
             for k in range(n_stacks):
                 if linear:
-                    np.take(slope[k], j, out=term, mode="clip")
+                    slope[k].take(j, out=term, mode="clip")
                     term *= s
-                    term += np.take(value[k], j, out=base, mode="clip")
+                    term += value[k].take(j, out=base, mode="clip")
                 else:
-                    np.take(value[k], j, out=term, mode="clip")
+                    value[k].take(j, out=term, mode="clip")
                 image[k, r0:r1] += term.reshape(r1 - r0, size)
     image *= np.pi / angles.size
     return image if filtered.ndim == 3 else image[0]

@@ -348,17 +348,27 @@ def test_non_finite_phantom_numbers_exit_2(tmp_path, capsys, line):
     ("image_size=1" + "0" * 400, "layer stack"),
     ("green_order=100000", "interpolation system"),
     ("pitch=1e300", "area of a weight cell"),
+    ("quant_delta=5e-324", "quant_delta"),
 ])
 def test_late_failures_are_config_errors(tmp_path, capsys, setting,
                                          message):
     # each of these used to fail inside a stage, after earlier stages had
     # written their files; the sizes of the voxel raster, the interpolation
     # system, the weight grid, the sweep and the layer stack are checked
-    # before any is allocated, and so is the sweep's cell area
+    # before any is allocated, and so are the sweep's cell area and the
+    # quantizer step that every sample is divided by
     args = small_args(tmp_path) + ["--set", setting]
     assert main(["pipeline"] + args) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_tiny_quant_delta_still_runs(tmp_path):
+    # the samples' bound over 1e-300 stays finite; the step is applied
+    args = small_args(tmp_path) + ["--set", "quant_delta=1e-300"]
+    assert main(["pipeline"] + args) == 0
+    sino = cli.load_sinogram(tmp_path / "out" / "sweep.ects")
+    assert sino.geometry.quant_delta == 1e-300
 
 
 @pytest.mark.parametrize("far", [True, False])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from capradon import forward, phantom
 from capradon.forward import (
     BoundingBoxError,
     SensorGeometry,
@@ -397,6 +398,49 @@ def random_weights(coeffs):
 def test_random_sweep_matches_scalar_reference(random_weights, prims):
     _assert_gaps_match_reference(PhantomSpec(prims), random_weights,
                                  _RANDOM_GEOM)
+
+
+# A box and a sphere in one cluster, both over all five live weight rows
+# (3.25-4.5 mm, 0.3125 mm apart): the sphere gives every row its own
+# height group, so the cluster's one set of present members has five.
+_FIVE_GROUPS = PhantomSpec((
+    Box(center=(0.5, -1.0, 3.875), half_extents=(3.0, 2.0, 1.5),
+        angle_deg=25.0, contrast=2.0),
+    Sphere(center=(1.5, 0.5, 3.875), radius=2.2, contrast=0.6),
+))
+
+
+def test_sweep_split_into_chunks_matches_scalar_reference(coeffs,
+                                                          monkeypatch):
+    geom = SensorGeometry(n=6, pitch=2.5, n_angles=3, standoff=2.0,
+                          gaps=(1, 2))
+    w = make_weights(coeffs, geom.gaps, dz=0.125, z_max=1.0, x_pad=1.0)
+    refs = {k: _brute_sweep(_FIVE_GROUPS, w[k], geom) for k in geom.gaps}
+    calls = []
+
+    def spy(spec, theta, s, z):
+        # (groups, angles, lines per row) of each chunk
+        calls.append((np.size(z), np.shape(theta)[0], np.shape(s)[-1]))
+        return phantom.line_integrals(spec, theta, s, z)
+
+    monkeypatch.setattr(forward, "line_integrals", spy)
+    simulate_sweep(_FIVE_GROUPS, w, geom)
+    ((_, _, width),) = calls
+    assert calls == [(5, 3, width)]
+    # one line a chunk, so each row is its own; two rows, so a group's
+    # three angles split 2 + 1; six rows, so the five groups split 2 + 2 + 1
+    for lines, want in ((1, [(1, 1)] * 15),
+                        (2 * width, [(1, 2), (1, 1)] * 5),
+                        (7 * width - 1, [(2, 3), (2, 3), (1, 3)])):
+        monkeypatch.setattr(forward, "_CHUNK_LINES", lines)
+        calls.clear()
+        sino = simulate_sweep(_FIVE_GROUPS, w, geom)
+        assert [call[:2] for call in calls] == want
+        for k in geom.gaps:
+            np.testing.assert_allclose(
+                sino.data[k], refs[k], rtol=0,
+                atol=1e-10 * np.abs(refs[k]).max(),
+                err_msg=f"gap {k}, {lines} lines a chunk")
 
 
 def _midpoint_sweep(spec, grid, geom, step):

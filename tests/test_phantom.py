@@ -355,6 +355,37 @@ def test_batched_crossings_match_per_angle(mixed_spec):
                                [[-1.3, 0.7], [np.nan, np.nan]], atol=1e-12)
 
 
+def test_line_integrals_take_a_height_per_row(mixed_spec):
+    # the z ranges are box 2.7-5.3, cylinder 3-5, sphere 2.9-5.1 and
+    # polygon 3.5-4.5; 9.0 is above all of them and 5.2 only in the box
+    theta = np.array([0.0, 0.4, 1.3, 2.9, 0.4, 2.2, 1.0])
+    z = np.array([3.2, 4.1, 9.0, 5.2, 3.6, 2.95, 4.9])
+    s = np.random.default_rng(8).uniform(-4.0, 4.0, (theta.size, 31))
+    specs = [PhantomSpec((p,)) for p in mixed_spec.primitives] + [mixed_spec]
+    for spec in specs:
+        for prim in spec.primitives:
+            cuts = prim.crossings(theta[:, None], s, z[:, None])
+            for j in range(theta.size):
+                np.testing.assert_array_equal(
+                    cuts[j], prim.crossings(theta[j], s[j], z[j]))
+                if not prim.covers(z[j]):
+                    assert np.isnan(cuts[j]).all()
+        got = line_integrals(spec, theta[:, None], s, z[:, None])
+        for j in range(theta.size):
+            np.testing.assert_array_equal(
+                got[j], line_integrals(spec, theta[j], s[j], z[j]))
+        # (height, angle, line): every height at every angle, as the sweep
+        # takes a block of height groups
+        grid = line_integrals(spec, theta[:, None], s, z[:, None, None])
+        assert grid.shape == (z.size,) + s.shape
+        for g in range(z.size):
+            np.testing.assert_array_equal(
+                grid[g], line_integrals(spec, theta[:, None], s, z[g]))
+    rows = line_integrals(mixed_spec, theta[:, None], s, z[:, None])
+    # only the height above every primitive gives no line a contribution
+    assert list(np.flatnonzero(~np.any(rows != 0.0, axis=1))) == [2]
+
+
 def _disc_chord(cx, cy, r, theta, s):
     d = s - (cx * np.cos(theta) + cy * np.sin(theta))
     return 2.0 * np.sqrt(np.clip(r * r - d * d, 0.0, None))
