@@ -21,11 +21,13 @@ discs; the lines outside it miss them and contribute exactly 0.  The
 _CHUNK_LINES lines, one line_integrals call each, every row at its own
 angle and height, so the calls follow the lines integrated, not the
 number of groups.  A chunk holds whole groups at every angle, or one
-group at a block of angles; each block of groups then takes one
-polyphase window product for all gaps (Vaidyanathan, Multirate Systems
-and Filter Banks, 1993): the line integrals are cut into cells of one
-pitch, and the detector windows of every gap and group become one BLAS
-matrix product per cell offset within a window.
+group at a block of angles.  A block of groups shares one buffer of a
+row of lattice lines per (angle, group), at most _BLOCK_VALUES values
+or one group's rows, and takes one polyphase window product for all
+gaps (Vaidyanathan, Multirate Systems and Filter Banks, 1993): the line
+integrals are cut into cells of one pitch, and the detector windows of
+every gap and group become one BLAS matrix product per cell offset
+within a window.
 
 Sensor-frame convention: the line with signed offset s at angle theta
 passes through the points (s*cos(theta) - t*sin(theta),
@@ -72,6 +74,13 @@ _GAP_TAG = struct.Struct("<H")
 # threshold up to three crossings per line.  So the calls reuse heap
 # memory instead of mapping fresh pages.
 _CHUNK_LINES = 4096
+# Values of the lattice-wide line integrals of one block of height groups
+# (512 KiB).  Every group fills a row of lattice lines per angle, far
+# more than its band, so the groups of a block are also limited by this.
+# A block holds at least one group, so its buffer is at most the larger
+# of this and one group's n_angles x lattice lines, the sweep size that
+# the configuration checks.
+_BLOCK_VALUES = 1 << 16
 
 
 class BoundingBoxError(ValueError):
@@ -269,12 +278,17 @@ def simulate_sweep(spec, weights, geometry, metadata=None):
                                   in zip(cluster.primitives, present) if on)
             first, width = _line_bands(members, angles, x_mm)
             per_chunk = max(1, _CHUNK_LINES // width)
-            n_ang, n_grp = min(p, per_chunk), max(1, per_chunk // p)
+            n_ang = min(p, per_chunk)
+            n_grp = max(1, min(per_chunk // p, len(groups),
+                               _BLOCK_VALUES // (p * row_cells * spp)))
+            # proj[angle, line, group], zero outside the band; every block
+            # of n_grp groups rewrites all of the band's entries
+            proj = np.zeros((p, row_cells * spp, n_grp))
             for g0 in range(0, len(groups), n_grp):
                 block = groups[g0:g0 + n_grp]
                 z = z_live[[rows[0] for rows in block]]
-                # proj[angle, line, group], zero outside the band
-                proj = np.zeros((p, row_cells * spp, len(block)))
+                if len(block) < n_grp:
+                    proj = np.zeros((p, row_cells * spp, len(block)))
                 for a0 in range(0, p, n_ang):
                     a = slice(a0, a0 + n_ang)
                     lines = first[a, None] + np.arange(width)

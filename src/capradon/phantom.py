@@ -123,12 +123,9 @@ class Primitive:
         primitive does not cover.
         """
         s = np.atleast_1d(s)
-        if np.ndim(z) == 0:
-            cuts = self._section(theta, s, float(z))
-            return cuts if self.covers(z) else np.full_like(cuts, np.nan)
         z = np.asarray(z, dtype=float)
-        return np.where(self.covers(z)[..., None], self._section(theta, s, z),
-                        np.nan)
+        return np.where(np.asarray(self.covers(z))[..., None],
+                        self._section(theta, s, z), np.nan)
 
     def contains(self, x, y, z):
         """Whether each point (x, y) of a plane at height z lies inside.
@@ -257,8 +254,8 @@ class Sphere(Primitive):
         # lines gets the bits of a call at its height alone
         radii = [math.sqrt(max(self.radius**2 - (h - cz) ** 2, 0.0))
                  for h in np.ravel(z).tolist()]
-        r = radii[0] if np.ndim(z) == 0 else np.reshape(radii, np.shape(z))
-        return _disc_crossings(cx, cy, r, theta, s)
+        return _disc_crossings(cx, cy, np.reshape(radii, np.shape(z)),
+                               theta, s)
 
     def footprint_token(self, z):
         # the xy cross-section changes with height, so the token carries z
@@ -359,50 +356,23 @@ def height_groups(prims, heights):
     return groups
 
 
-def _near_disc(prim, x, y):
-    """Slices of the plane's axes that hold every point inside prim.
-
-    They bound the points (x, y) of the plane in the bounding square of
-    the primitive's footprint disc, widened a little against rounding;
-    None when there are none.
-    """
-    cx, cy, r = prim.footprint_disc()
-    reach = r + 1e-9 * (r + abs(cx) + abs(cy))
-    near = (np.abs(x - cx) <= reach) & (np.abs(y - cy) <= reach)
-    if near.ndim == 0:
-        return () if near else None
-    index = np.nonzero(near)
-    if not index[0].size:
-        return None
-    return tuple(slice(i.min(), i.max() + 1) for i in index)
-
-
 def eval_permittivity(spec, x, y, z):
     """Relative permittivity on one xy plane at each height in z (mm).
 
     x and y broadcast to the plane; the result has shape z.shape + plane.
     The last containing primitive wins.  Heights where a primitive's
-    footprint token agrees share one `contains` call, on the part of the
-    plane next to the primitive's footprint disc.
+    footprint token agrees share one `contains` call.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     plane = np.broadcast(x, y).shape
-    x, y = (a.reshape((1,) * (len(plane) - a.ndim) + a.shape) for a in (x, y))
     out = np.ones(z.shape + plane)
     rows = out.reshape((-1,) + plane)
     for prim in spec.primitives:
-        groups = height_groups((prim,), z.flat)
-        keep = _near_disc(prim, x, y)
-        if not groups or keep is None:
-            continue
-        xs, ys = (a[tuple(k if n > 1 else slice(None)
-                          for k, n in zip(keep, a.shape))] for a in (x, y))
-        for members in groups.values():
-            inside = prim.contains(xs, ys, z.flat[members[0]])
-            part = (members,) + keep
-            rows[part] = np.where(inside, prim.contrast, rows[part])
+        for members in height_groups((prim,), z.flat).values():
+            inside = prim.contains(x, y, z.flat[members[0]])
+            rows[members] = np.where(inside, prim.contrast, rows[members])
     return out.item() if out.ndim == 0 else out
 
 

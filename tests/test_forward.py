@@ -165,8 +165,10 @@ def test_slice_error_shrinks_with_step():
 def _line_cuts(prim, theta, s, z):
     """Plain-loop points where one line meets a primitive's slice at z.
 
-    Discs solve |p(t) - c|^2 = r^2; a box is clipped as the polygon of its
-    four corners.  Membership of the pieces between the points is left to
+    Discs solve |p(t) - c|^2 = r^2 around the t nearest the centre, with
+    the half chord from the line's distance to the centre (b^2 - 4q would
+    cancel to a few ulps of b^2 at a tangent, a chord of about 1e-7); a box
+    is clipped as the polygon of its four corners.  Membership of the pieces between the points is left to
     the closed point tests of point_oracle, so no inside rule is shared with
     the program.
     """
@@ -182,12 +184,11 @@ def _line_cuts(prim, theta, s, z):
             r2 = prim.radius**2 - (z - cz) ** 2
             if r2 < 0:
                 return []
-        b = 2.0 * (-(x0 - cx) * sn + (y0 - cy) * c)
-        q = (x0 - cx) ** 2 + (y0 - cy) ** 2 - r2
-        disc = b * b - 4.0 * q
-        if disc < 0:
+        tm = (x0 - cx) * sn - (y0 - cy) * c
+        half_sq = r2 - ((x0 - cx) * c + (y0 - cy) * sn) ** 2
+        if half_sq < 0:
             return []
-        return [(-b - math.sqrt(disc)) / 2.0, (-b + math.sqrt(disc)) / 2.0]
+        return [tm - math.sqrt(half_sq), tm + math.sqrt(half_sq)]
     if isinstance(prim, Box):
         cx, cy, cz = prim.center
         hx, hy, hz = prim.half_extents
@@ -395,6 +396,9 @@ def random_weights(coeffs):
 # an oblong box at the square's side, whose disc reaches 13.3 mm at angle
 # 0, past the lattice end at 11.25 mm
 @example(prims=[Box((6.77, 0.0, 3.875), (0.3, 6.5, 0.625), 0.0, 2.0)])
+# a cylinder whose disc touches the line at angle 0 and offset 0
+@example(prims=[Cylinder(3.39453125, -3.6765365618654746, 2.5, 3.875,
+                         3.39453125, 2.0)])
 def test_random_sweep_matches_scalar_reference(random_weights, prims):
     _assert_gaps_match_reference(PhantomSpec(prims), random_weights,
                                  _RANDOM_GEOM)
@@ -441,6 +445,46 @@ def test_sweep_split_into_chunks_matches_scalar_reference(coeffs,
                 sino.data[k], refs[k], rtol=0,
                 atol=1e-10 * np.abs(refs[k]).max(),
                 err_msg=f"gap {k}, {lines} lines a chunk")
+
+
+# A sphere 1.6 mm across over all five live weight rows: its band is a
+# few lines, so the line count alone would put all five groups in one
+# block at any of the tests' lattice lengths.
+_SMALL_SPHERE = PhantomSpec((
+    Sphere(center=(-1.2, 0.9, 3.875), radius=0.8, contrast=3.0),
+))
+
+
+def test_sweep_blocks_stay_within_the_buffer_bound(coeffs, monkeypatch):
+    geom = SensorGeometry(n=6, pitch=2.5, n_angles=3, standoff=2.0,
+                          gaps=(1, 2))
+    w = make_weights(coeffs, geom.gaps, dz=0.125, z_max=1.0, x_pad=1.0)
+    refs = {k: _brute_sweep(_SMALL_SPHERE, w[k], geom) for k in geom.gaps}
+    # values of one group's lattice-wide rows: every angle's row of
+    # lattice lines, padded to whole cells (4 lines, one pitch) past the
+    # first gap's last detector by the widest window
+    win_cells = -(-max(g.nx for g in w.values()) // 4)
+    one_group = geom.n_angles * (geom.detector_count(1) + win_cells) * 4
+    blocks = []
+    window_weights = forward._window_weights
+
+    def spy(grids, block, win_cells, spp):
+        blocks.append(len(block))
+        return window_weights(grids, block, win_cells, spp)
+
+    monkeypatch.setattr(forward, "_window_weights", spy)
+    for values, want in ((forward._BLOCK_VALUES, [5]),
+                         (2 * one_group + 1, [2, 2, 1]),
+                         (one_group - 1, [1] * 5)):
+        monkeypatch.setattr(forward, "_BLOCK_VALUES", values)
+        blocks.clear()
+        sino = simulate_sweep(_SMALL_SPHERE, w, geom)
+        assert blocks == want
+        for k in geom.gaps:
+            np.testing.assert_allclose(
+                sino.data[k], refs[k], rtol=0,
+                atol=1e-10 * np.abs(refs[k]).max(),
+                err_msg=f"gap {k}, blocks of {values} values")
 
 
 def _midpoint_sweep(spec, grid, geom, step):
