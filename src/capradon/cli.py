@@ -41,6 +41,7 @@ from .phantom import (
 )
 from .recon import (
     FilterSpec,
+    _check_frame,
     export_layer_csv,
     load_layer,
     reconstruct_layers,
@@ -129,20 +130,24 @@ class StageError(RuntimeError):
     """A pipeline stage failed to produce its artifacts."""
 
 
+def _setting(item, where):
+    """Split one key=value item and check its key; `where` prefixes errors."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected key=value, got {item!r}")
+    key, value = (part.strip() for part in item.split("=", 1))
+    if key not in _DEFAULTS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    return key, value
+
+
 def parse_config_text(text, source="<config>"):
     """Parse flat key=value lines; '#' starts a comment."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source} line {lineno}: expected key=value, "
-                              f"got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _DEFAULTS:
-            raise ConfigError(f"{source} line {lineno}: unknown key {key!r}")
-        out[key] = value
+        if line:
+            key, value = _setting(line, f"{source} line {lineno}")
+            out[key] = value
     return out
 
 
@@ -160,10 +165,8 @@ def _coerce(key, value):
                 raise ValueError("expected 0 or 1")
             return value == "1"
         if key == "gaps":
-            gaps = tuple(sorted({int(p) for p in value.split(",") if p.strip()}))
-            if not gaps:
-                raise ValueError("at least one gap required")
-            return gaps
+            # SensorGeometry sorts, dedups and checks them
+            return tuple(int(p) for p in value.split(",") if p.strip())
         return value
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from None
@@ -173,39 +176,27 @@ def resolve_config(config_path=None, sets=()):
     """Merge defaults, an optional config file and --set overrides.
 
     cfg also holds what the stages run on, built here so that bad input
-    fails before a stage writes: `phantom_text`, `phantom_spec`,
-    `geometry`, `filter` and `voxel_box`.
+    fails before a stage writes: `phantom_text`, `phantom_sha256`,
+    `phantom_spec`, `geometry`, `filter`, `voxel_box` and `coeffs`.
     """
     raw = dict(_DEFAULTS)
     if config_path is not None:
-        path = Path(config_path)
         try:
-            text = path.read_text(encoding="utf-8")
+            text = Path(config_path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {config_path}: {exc}") from None
         raw.update(parse_config_text(text, source=str(config_path)))
-    for item in sets:
-        if "=" not in item:
-            raise ConfigError(f"--set needs key=value, got {item!r}")
-        key, value = (part.strip() for part in item.split("=", 1))
-        if key not in _DEFAULTS:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        raw[key] = value
+    raw.update(_setting(item, "--set") for item in sets)
     cfg = {key: _coerce(key, value) for key, value in raw.items()}
 
-    if cfg["phantom"]:
-        try:
-            cfg["phantom_text"] = Path(cfg["phantom"]).read_text(
-                encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(
-                f"cannot read phantom {cfg['phantom']}: {exc}") from None
-    else:
-        cfg["phantom_text"] = DEFAULT_PHANTOM
     try:
-        cfg["phantom_spec"] = parse_phantom(cfg["phantom_text"])
-    except PhantomParseError as exc:
-        raise ConfigError(f"bad phantom: {exc}") from None
+        cfg["phantom_text"] = (Path(cfg["phantom"]).read_text(encoding="utf-8")
+                               if cfg["phantom"] else DEFAULT_PHANTOM)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot read phantom {cfg['phantom']}: {exc}") from None
+    cfg["phantom_sha256"] = hashlib.sha256(
+        cfg["phantom_text"].encode("utf-8")).hexdigest()
 
     # quant_delta stays 0 here: quantize records the step it applies
     try:
@@ -217,11 +208,17 @@ def resolve_config(config_path=None, sets=()):
             size=cfg["image_size"], pixel_pitch=cfg["pixel_mm"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    for key in ("green_eps0", "x_pad", "z_max", "dx", "dz", "voxel_dx"):
+    cfg["gaps"] = cfg["geometry"].gaps
+    try:
+        cfg["phantom_spec"] = parse_phantom(cfg["phantom_text"])
+        bounds = cfg["phantom_spec"].bounds()
+        if bounds is not None:
+            _check_scan_circle(bounds, cfg["geometry"].scan_radius)
+    except (PhantomParseError, BoundingBoxError) as exc:
+        raise ConfigError(f"bad phantom: {exc}") from None
+    for key in ("x_pad", "z_max", "dx", "dz", "voxel_dx"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
-    if cfg["green_order"] < 1:
-        raise ConfigError("green_order must be at least 1")
     if cfg["z_cut"] < 0 or cfg["quant_delta"] < 0:
         raise ConfigError("z_cut and quant_delta must be nonnegative")
     try:
@@ -233,27 +230,33 @@ def resolve_config(config_path=None, sets=()):
     if cfg["z_cut"] >= cfg["z_max"]:
         raise ConfigError("z_cut must be below z_max, or every weight row "
                           "is cut")
-    bounds = cfg["phantom_spec"].bounds()
-    if bounds is not None:
-        try:
-            _check_scan_circle(bounds, cfg["geometry"].scan_radius)
-        except BoundingBoxError as exc:
-            raise ConfigError(f"bad phantom: {exc}") from None
-    cfg["voxel_box"] = box = _voxel_box(bounds, cfg["voxel_dx"])
-    # the count is NaN when h underflows the bounds
-    if not np.prod(box[0]) <= _MAX_VALUES:
-        raise ConfigError(
-            f"voxel_dx={cfg['voxel_dx']!r} is too fine: the phantom "
-            f"raster would exceed {_MAX_VALUES} voxels")
+    cfg["voxel_box"] = shape, origin = _voxel_box(bounds, cfg["voxel_dx"])
     # the sweep's samples are scaled by the area of one weight cell
-    if not math.isfinite((cfg["dx"] * cfg["pitch"])
-                         * (cfg["dz"] * cfg["pitch"])):
+    cell = (cfg["dx"] * cfg["pitch"]) * (cfg["dz"] * cfg["pitch"])
+    if not math.isfinite(cell):
         raise ConfigError(f"pitch={cfg['pitch']!r} is too large: the area "
                           "of a weight cell overflows a float")
     for what, count in _array_sizes(cfg).items():
         if not count <= _MAX_VALUES:
             raise ConfigError(f"the {what} would hold {count:.3g} values, "
                               f"more than {_MAX_VALUES}")
+    # rasterize places voxels from the origin to shape * voxel_dx past it
+    if not math.isfinite(max(map(abs, origin.tolist()))
+                         + max(shape.tolist()) * cfg["voxel_dx"]):
+        raise ConfigError(f"voxel_dx={cfg['voxel_dx']!r} is too large: the "
+                          "phantom raster's corners overflow a float")
+    # the weights stage reuses the solved system
+    try:
+        cfg["coeffs"] = potential_coefficients(order=cfg["green_order"],
+                                               eps0=cfg["green_eps0"])
+    except ValueError as exc:
+        raise ConfigError("the interpolation system of green_order and "
+                          f"green_eps0 cannot be solved: {exc}") from None
+    try:
+        _check_frame(cfg["filter"], cfg["pitch"])
+    except ValueError as exc:
+        raise ConfigError(f"image_size x pixel_mm is too large for "
+                          f"pitch={cfg['pitch']!r}: {exc}") from None
     # quantize divides every sample by the step; bound the samples by the
     # largest contrast over a chord of the scan circle, summed with weights
     # of at most 1 over every cell of the largest window
@@ -262,9 +265,7 @@ def resolve_config(config_path=None, sets=()):
                         for p in cfg["phantom_spec"].primitives), default=0.0)
         cells = ((cfg["z_max"] / cfg["dz"] + 1)
                  * ((max(cfg["gaps"]) + 2 * cfg["x_pad"]) / cfg["dx"] + 2))
-        peak = (contrast * 2 * cfg["geometry"].scan_radius
-                * (cfg["dx"] * cfg["pitch"]) * (cfg["dz"] * cfg["pitch"])
-                * cells)
+        peak = contrast * 2 * cfg["geometry"].scan_radius * cell * cells
         if not math.isfinite(peak / cfg["quant_delta"]):
             raise ConfigError(
                 f"quant_delta={cfg['quant_delta']!r} is too small: samples "
@@ -280,12 +281,12 @@ def resolve_config(config_path=None, sets=()):
 
 
 def _array_sizes(cfg):
-    """Values in the largest array of the weights, forward and recon stages.
+    """Values in the largest array of each stage, and in the solved system.
 
     Counts are floats, so that a huge setting gives inf instead of raising;
-    an integer setting past the limit is clipped to just past it.
+    an integer setting is clipped to [0, just past the limit].
     """
-    n, p, size, order = (float(min(cfg[key], _MAX_VALUES + 1))
+    n, p, size, order = (float(min(max(cfg[key], 0), _MAX_VALUES + 1))
                          for key in ("n", "n_angles", "image_size",
                                      "green_order"))
     dx, pad, kmax = cfg["dx"], cfg["x_pad"], max(cfg["gaps"])
@@ -293,6 +294,8 @@ def _array_sizes(cfg):
     # detector's window starts
     lines = (2 * n + 2 * pad) / dx + 1
     return {
+        # NaN when voxel_dx underflows the bounds
+        "phantom raster (voxels)": math.prod(cfg["voxel_box"][0].tolist()),
         "interpolation system ((green_order+1)^2)": (order + 1) ** 2,
         "weight grid (z_max/dz x potential lattice)":
             cfg["z_max"] / cfg["dz"] * ((2 * kmax + 2 * pad) / dx + 1),
@@ -320,8 +323,9 @@ def render_pgm(image, path, mode="symmetric", lo=None, hi=None):
     if not math.isfinite(hi_v - lo_v):
         raise ValueError(f"value range {lo_v!r} to {hi_v!r} overflows a float")
     if hi_v > lo_v:
-        scaled = (image - lo_v) / (hi_v - lo_v) * 65535.0
-        pixels = np.clip(np.floor(scaled + 0.5), 0, 65535).astype(">u2")
+        # clipped first, so no value over a narrow range overflows
+        scaled = (np.clip(image, lo_v, hi_v) - lo_v) / (hi_v - lo_v) * 65535.0
+        pixels = np.floor(scaled + 0.5).astype(">u2")
         note = f"map mode={mode} lo={lo_v!r} hi={hi_v!r}"
     else:
         pixels = np.zeros(image.shape, dtype=">u2")
@@ -350,15 +354,8 @@ def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _plain(value):
-    """A config value as JSON writes it: tuples become lists."""
-    return list(value) if isinstance(value, tuple) else value
-
-
 def _stage_weights(cfg, outdir):
-    coeffs = potential_coefficients(order=cfg["green_order"],
-                                    eps0=cfg["green_eps0"])
-    grids = synthesize_weight(coeffs, cfg["gaps"], x_pad=cfg["x_pad"],
+    grids = synthesize_weight(cfg["coeffs"], cfg["gaps"], x_pad=cfg["x_pad"],
                               z_max=cfg["z_max"], dx=cfg["dx"], dz=cfg["dz"])
     for k, grid in grids.items():
         conditioned = condition_weight(grid, z_cut=cfg["z_cut"])
@@ -368,9 +365,8 @@ def _stage_weights(cfg, outdir):
 def _voxel_box(bounds, h):
     """Shape (nx, ny, nz) and origin of the raster around the bounds.
 
-    Both come as float arrays, so that a tiny h gives inf or NaN instead
-    of raising.  An empty scene (bounds None) gets one background voxel
-    at the origin.
+    Both are float arrays, so a tiny h gives inf or NaN instead of raising.
+    An empty scene (bounds None) gets one background voxel at the origin.
     """
     if bounds is None:
         return np.ones(3), np.zeros(3)
@@ -425,7 +421,6 @@ def _layer_outputs(cfg):
 class _Stage(NamedTuple):
     help: str               # subcommand help
     keys: tuple             # config keys in the stage's cache key
-    hashes_phantom: bool    # the cache key covers the phantom text
     inputs: Callable        # cfg -> files read from earlier stages
     outputs: Callable       # cfg -> files written
     run: Callable           # (cfg, outdir) -> None; writes the outputs
@@ -439,32 +434,30 @@ _STAGE_TABLE = {
         "synthesize and condition sensitivity weights",
         ("green_order", "green_eps0", "x_pad", "z_max", "dx", "dz", "z_cut",
          "gaps"),
-        False, lambda cfg: [], _per_gap(_WEIGHTS), _stage_weights),
+        lambda cfg: [], _per_gap(_WEIGHTS), _stage_weights),
     "phantom": _Stage(
-        "rasterize the phantom to a voxel file", ("voxel_dx", "supersample"),
-        True, lambda cfg: [], lambda cfg: [_VOXELS], _stage_phantom),
+        "rasterize the phantom to a voxel file",
+        ("voxel_dx", "supersample", "phantom_sha256"),
+        lambda cfg: [], lambda cfg: [_VOXELS], _stage_phantom),
     "forward": _Stage(
         "simulate the rotating sweep",
         ("n", "pitch", "n_angles", "standoff", "gaps", "quantize",
-         "quant_delta"),
-        True, _per_gap(_WEIGHTS), lambda cfg: [_SWEEP], _stage_forward),
+         "quant_delta", "phantom_sha256"),
+        _per_gap(_WEIGHTS), lambda cfg: [_SWEEP], _stage_forward),
     "recon": _Stage(
         "reconstruct depth layers",
         ("window", "interpolation", "image_size", "pixel_mm", "csv"),
-        False, lambda cfg: [_SWEEP], _layer_outputs, _stage_recon),
+        lambda cfg: [_SWEEP], _layer_outputs, _stage_recon),
     "render": _Stage(
         "render layers to 16-bit PGM images",
         ("render", "render_lo", "render_hi"),
-        False, _per_gap(_LAYER), _per_gap(_LAYER_PGM), _stage_render),
+        _per_gap(_LAYER), _per_gap(_LAYER_PGM), _stage_render),
 }
 
 
 def _stage_key(cfg, name, artifacts):
     stage = _STAGE_TABLE[name]
-    params = {"stage": name, **{key: _plain(cfg[key]) for key in stage.keys}}
-    if stage.hashes_phantom:
-        params["phantom_sha256"] = hashlib.sha256(
-            cfg["phantom_text"].encode("utf-8")).hexdigest()
+    params = {"stage": name, **{key: cfg[key] for key in stage.keys}}
     if stage.inputs(cfg):
         params["inputs"] = {n: artifacts[n] for n in stage.inputs(cfg)}
     blob = json.dumps(params, sort_keys=True).encode("utf-8")
@@ -473,15 +466,14 @@ def _stage_key(cfg, name, artifacts):
 
 def _load_cache(outdir):
     try:
-        with open(outdir / "cache.json", "r", encoding="utf-8") as fh:
-            cache = json.load(fh)
+        cache = json.loads((outdir / "cache.json").read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return {}
     return cache if isinstance(cache, dict) else {}
 
 
 def _run_stage(cfg, name, outdir):
-    """Run one stage after checking its inputs; returns its output names."""
+    """Run one stage; returns its outputs, or removes them and raises."""
     stage = _STAGE_TABLE[name]
     for needed in stage.inputs(cfg):
         if not (outdir / needed).exists():
@@ -489,7 +481,12 @@ def _run_stage(cfg, name, outdir):
                             if needed in record.outputs(cfg))
             raise StageError(f"missing {needed}; run the {producer} stage "
                              "first")
-    stage.run(cfg, outdir)
+    try:
+        stage.run(cfg, outdir)
+    except Exception as exc:
+        for output in stage.outputs(cfg):
+            (outdir / output).unlink(missing_ok=True)
+        raise StageError(f"{name} stage failed: {exc}") from exc
     return stage.outputs(cfg)
 
 
@@ -517,12 +514,10 @@ def run_pipeline(cfg, echo=print):
         else:
             try:
                 written = _run_stage(cfg, name, outdir)
-            except Exception as exc:
-                for output in stage.outputs(cfg):
-                    (outdir / output).unlink(missing_ok=True)
+            except StageError:
                 cache.pop(name, None)
                 _write_json(outdir / "cache.json", cache)
-                raise StageError(f"{name} stage failed: {exc}") from exc
+                raise
             outputs = {output: _sha256(outdir / output) for output in written}
             cache[name] = {"key": key, "outputs": outputs}
             _write_json(outdir / "cache.json", cache)
@@ -534,7 +529,8 @@ def run_pipeline(cfg, echo=print):
         if echo:
             state = "cached" if cached else f"{seconds:.2f}s"
             echo(f"{name}: {state}")
-    manifest = {"config": _manifest_config(cfg), "stages": manifest_stages}
+    manifest = {"config": {key: cfg[key] for key in _DEFAULTS},
+                "stages": manifest_stages}
     _write_json(outdir / "manifest.json", manifest)
     return manifest
 
@@ -543,10 +539,6 @@ def _write_json(path, record):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _manifest_config(cfg):
-    return {key: _plain(cfg[key]) for key in _DEFAULTS}
 
 
 def main(argv=None):
@@ -578,11 +570,8 @@ def main(argv=None):
             outdir.mkdir(parents=True, exist_ok=True)
             for name in _run_stage(cfg, args.command, outdir):
                 print(outdir / name)
-    except StageError as exc:
+    except (StageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except Exception as exc:  # noqa: BLE001 - stage failures map to exit 3
-        print(f"error: {args.command} failed: {exc}", file=sys.stderr)
         return 3
     return 0
 

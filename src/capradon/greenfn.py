@@ -75,7 +75,9 @@ def build_system(order, eps0):
         raise ValueError(f"eps0 must be positive, got {eps0}")
     i = np.arange(order + 1, dtype=float)[:, None]
     j = np.arange(1, order + 2, dtype=float)[None, :]
-    matrix = eval_green(i / j, eps0 / j)
+    # an eps0 far out of range gives inf or NaN; the solve's guard rejects it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        matrix = eval_green(i / j, eps0 / j)
     rhs = np.zeros(order + 1)
     rhs[0] = 1.0
     return matrix, rhs

@@ -114,6 +114,14 @@ def filter_sinogram(rows, window="ram-lak"):
     return filtered[:, :n_det]
 
 
+def _check_frame(spec, det_spacing):
+    """Raise ValueError unless each pixel's ray offset |s| is finite: it is
+    at most (|x| + |y|) / det_spacing, plus a centre too small to overflow."""
+    if not np.isfinite((spec.size - 1) * float(spec.pixel_pitch)
+                       / float(det_spacing)):
+        raise ValueError("det_spacing is too small for the image frame")
+
+
 def backproject(filtered, angles, spec, det_spacing=1.0):
     """Accumulate filtered rows over angles into a (size, size) image.
 
@@ -137,14 +145,11 @@ def backproject(filtered, angles, spec, det_spacing=1.0):
         raise ValueError("angles and filtered rows must be finite")
     stacks = filtered.reshape((-1,) + filtered.shape[-2:])
     n_stacks, _, n_det = stacks.shape
+    _check_frame(spec, det_spacing)
     size = spec.size
     c = (size - 1) / 2.0
     coords = (np.arange(size) - c) * spec.pixel_pitch
     det_center = (n_det - 1) / 2.0
-    # |s| is at most (|x| + |y|) / det_spacing + det_center
-    if not np.isfinite(2 * float(coords[-1]) / float(det_spacing)
-                       + det_center):
-        raise ValueError("det_spacing is too small for the image frame")
     # one angle's table of values and slopes per stack, with a zero entry
     # at n_det where rays outside the detector are sent; value + slope *
     # frac is np.interp's formula on a lattice of spacing 1.  It is built
@@ -171,7 +176,8 @@ def backproject(filtered, angles, spec, det_spacing=1.0):
                    out=s.reshape(r1 - r0, size))
             s /= det_spacing
             s += det_center
-            # the mask is taken on floats, before the cast to indices; for
+            # the mask is taken on floats and sends rays outside to n_det
+            # before the cast to indices, so no offset past intp is cast; for
             # nearest it is taken on rint(s), which keeps s = -0.5 inside
             if linear:
                 np.floor(s, out=base)
@@ -180,8 +186,8 @@ def backproject(filtered, angles, spec, det_spacing=1.0):
             else:
                 np.rint(s, out=base)
                 outside = ~((base >= 0) & (base <= n_det - 1))
+            base[outside] = n_det
             j[:] = base
-            j[outside] = n_det
             for k in range(n_stacks):
                 if linear:
                     slope[k].take(j, out=term, mode="clip")

@@ -87,6 +87,8 @@ class WeightGrid:
 
 def samples_per_pitch(dx):
     """Lattice steps per pitch, 1/dx; raises ValueError unless an integer."""
+    if not np.isfinite(1.0 / dx):
+        raise ValueError("1/dx overflows a float")
     spp = int(round(1.0 / dx))
     if spp < 1 or abs(spp * dx - 1.0) > 1e-9:
         raise ValueError("1/dx must be an integer number of lattice steps")

@@ -4,11 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import capradon
 from capradon import cli
@@ -20,6 +24,10 @@ from capradon.cli import (
     render_pgm,
     resolve_config,
 )
+from capradon.forward import load_sinogram
+from capradon.phantom import load_voxels
+from capradon.recon import import_layer_csv, load_layer
+from capradon.weights import load_weight
 
 SMALL = {
     "n": "6",
@@ -139,6 +147,17 @@ def test_render_pgm_fixed_clips(tmp_path):
     np.testing.assert_array_equal(pixels, [[0, 0], [32768, 65535]])
     with pytest.raises(ValueError):
         render_pgm(np.zeros((2, 2)), path, mode="fixed", lo=1.0, hi=1.0)
+
+
+def test_render_pgm_narrow_range_saturates_quietly(tmp_path):
+    # 1 / 5e-324 overflows; the pixel clips to white with no warning
+    path = tmp_path / "img.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        render_pgm(np.array([[-1.0, 0.0], [1e-310, 1.0]]), path,
+                   mode="fixed", lo=0.0, hi=5e-324)
+    pixels, _ = read_pgm(path)
+    np.testing.assert_array_equal(pixels, [[0, 0], [65535, 65535]])
 
 
 @pytest.mark.parametrize("mode, image, lo, hi", [
@@ -349,18 +368,122 @@ def test_non_finite_phantom_numbers_exit_2(tmp_path, capsys, line):
     ("green_order=100000", "interpolation system"),
     ("pitch=1e300", "area of a weight cell"),
     ("quant_delta=5e-324", "quant_delta"),
+    ("dx=5e-324", "1/dx overflows"),
+    ("green_eps0=10", "interpolation system"),
+    ("green_eps0=50", "interpolation system"),
+    ("green_eps0=1e-300", "interpolation system"),
+    ("green_eps0=1e300", "interpolation system"),
+    ("pixel_mm=1e308", "image frame"),
+    ("voxel_dx=1e308", "corners overflow"),
+    # these never reached a stage; they run the checks no case above runs
+    ("green_order=0", "order must be >= 1"),
+    ("green_order=-1" + "0" * 400, "order must be >= 1"),
+    ("green_eps0=-1", "eps0 must be positive"),
+    ("z_cut=-1", "nonnegative"),
+    ("quant_delta=-1", "nonnegative"),
+    ("render=sepia", "render must be one of"),
+    ("gaps=", "nonempty subset"),
+    ("gaps=0,1", "nonempty subset"),
 ])
 def test_late_failures_are_config_errors(tmp_path, capsys, setting,
                                          message):
-    # each of these used to fail inside a stage, after earlier stages had
+    # the cases above used to fail inside a stage, after earlier stages had
     # written their files; the sizes of the voxel raster, the interpolation
     # system, the weight grid, the sweep and the layer stack are checked
-    # before any is allocated, and so are the sweep's cell area and the
-    # quantizer step that every sample is divided by
+    # before any is allocated, and so are the sweep's cell area, the
+    # quantizer step that every sample is divided by, 1/dx, the solve of
+    # the interpolation system, the raster's corners and the image frame
     args = small_args(tmp_path) + ["--set", setting]
     assert main(["pipeline"] + args) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("order", [8, 16, 64])
+@pytest.mark.parametrize("eps0", [10, 50, 1e-300, 1e300])
+def test_singular_interpolation_system_exits_2_quietly(tmp_path, capsys,
+                                                       order, eps0):
+    # the system is solved while the config is resolved, with numpy's
+    # overflow and log warnings silenced: the condition guard rejects it
+    args = small_args(tmp_path, green_order=order, green_eps0=eps0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["pipeline"] + args) == 2
+    assert "interpolation system" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# Values the fuzzer draws for each kind of key: each pool holds values that
+# pass, values at a guard's edge and values past it.  The one large int is
+# just past the 2**24 limit of every array it sizes, so a run that passes
+# the guards stays as small as SMALL.
+_FUZZ_POOLS = {
+    "int": ["0", "1", "4", "-1", "x", str((1 << 24) + 1)],
+    "float": ["0", "-1", "5e-324", "1e-300", "10", "1e300", "1e308", "nan",
+              "inf"],
+    "flag": ["0", "1", "2"],
+    "gaps": ["", "5", "0,1", "4,1,1"],
+    "window": ["hann", "none", "boxcar"],
+    "interpolation": ["nearest", "cubic"],
+    "render": ["minmax", "fixed", "sepia"],
+}
+_FUZZ_KEYS = {
+    **{key: "int" for key in cli._INT_KEYS},
+    **{key: "float" for key in cli._FLOAT_KEYS},
+    **{key: "flag" for key in cli._BOOL_KEYS},
+    **{key: key for key in ("gaps", "window", "interpolation", "render")},
+}
+_FUZZ_SETTING = st.sampled_from(sorted(_FUZZ_KEYS)).flatmap(
+    lambda key: st.sampled_from(_FUZZ_POOLS[_FUZZ_KEYS[key]]).map(
+        lambda value: f"{key}={value}"))
+# each loader returns the numbers an artifact holds, header included
+_LOADERS = {
+    ".ectw": lambda path: [(grid := load_weight(path)).values, grid.scale,
+                           grid.x_origin, grid.z_origin],
+    ".ectv": lambda path: [(grid := load_voxels(path)).values, grid.origin,
+                           grid.spacing],
+    ".ects": lambda path: list(load_sinogram(path).data.values()),
+    ".ectl": lambda path: list(load_layer(path)[1:]),
+    ".csv": lambda path: [import_layer_csv(path)],
+    ".pgm": lambda path: [read_pgm(path)[0]],
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(sets=st.lists(_FUZZ_SETTING, min_size=1, max_size=3))
+@example(sets=["dx=5e-324"])
+@example(sets=["green_eps0=10"])
+@example(sets=["pixel_mm=1e308"])
+@example(sets=["voxel_dx=1e308"])
+@example(sets=["render=fixed", "render_hi=5e-324"])
+def test_random_settings_exit_2_or_give_loadable_artifacts(sets):
+    # McKeeman's differential testing, on the CLI: a run either is turned
+    # away before anything is written, or writes only finite artifacts that
+    # the public loaders accept; a warning counts as a failure
+    with tempfile.TemporaryDirectory() as tmp:
+        args = small_args(Path(tmp))
+        for setting in sets:
+            args += ["--set", setting]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["pipeline"] + args)
+        outdir = Path(tmp) / "out"
+        if code == 2:
+            assert not outdir.exists()
+            return
+        assert code == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        names = [name for stage in manifest["stages"]
+                 for name in stage["outputs"]]
+        assert names
+        for name in names:
+            for values in _LOADERS[Path(name).suffix](outdir / name):
+                assert np.isfinite(values).all(), name
+
+
+def test_gaps_are_sorted_and_deduplicated():
+    cfg = resolve_config(None, ["gaps=4,1,1"])
+    assert cfg["gaps"] == cfg["geometry"].gaps == (1, 4)
 
 
 def test_tiny_quant_delta_still_runs(tmp_path):
@@ -401,6 +524,29 @@ def test_stage_failures_exit_3(tmp_path, capsys, monkeypatch):
     assert (outdir / "weights_k1.ectw").exists()
     assert not (outdir / "sweep.ects").exists()
     assert not (outdir / "manifest.json").exists()
+
+
+def test_standalone_stage_failure_removes_its_outputs(tmp_path, capsys,
+                                                      monkeypatch):
+    # a stage run on its own fails as it does in the pipeline: the layer
+    # of gap 1 was written before gap 2's failed, and is removed
+    args = small_args(tmp_path)
+    for command in ("weights", "forward"):
+        assert main([command] + args) == 0
+    save_layer, written = cli.save_layer, []
+
+    def fail_on_second(image, k, pitch, path):
+        if written:
+            raise OSError(28, "No space left on device")
+        written.append(k)
+        save_layer(image, k, pitch, path)
+
+    monkeypatch.setattr(cli, "save_layer", fail_on_second)
+    capsys.readouterr()
+    assert main(["recon"] + args) == 3
+    assert "recon stage failed" in capsys.readouterr().err
+    assert written == [1]
+    assert list((tmp_path / "out").glob("layer_k*.ectl")) == []
 
 
 def test_missing_prerequisite_exits_3(tmp_path, capsys):

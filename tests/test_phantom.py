@@ -386,6 +386,20 @@ def test_line_integrals_take_a_height_per_row(mixed_spec):
     assert list(np.flatnonzero(~np.any(rows != 0.0, axis=1))) == [2]
 
 
+def test_line_integrals_of_an_empty_scene_are_zero():
+    # no primitive gives no crossings; the result still takes the
+    # broadcast shape of the lines, a scalar offset counting as one line
+    empty = PhantomSpec()
+    for got, shape in (
+            (line_integrals(empty, 0.3, 1.5, 4.0), (1,)),
+            (line_integrals(empty, np.zeros((3, 1)), np.ones((3, 5)),
+                            np.arange(3.0)[:, None]), (3, 5)),
+            (line_integrals(empty, np.zeros((3, 1)), np.ones((3, 5)),
+                            np.arange(2.0)[:, None, None]), (2, 3, 5))):
+        assert got.shape == shape
+        assert not got.any()
+
+
 def _disc_chord(cx, cy, r, theta, s):
     d = s - (cx * np.cos(theta) + cy * np.sin(theta))
     return 2.0 * np.sqrt(np.clip(r * r - d * d, 0.0, None))
