@@ -255,7 +255,7 @@ def resolve_config(config_path=None, sets=()):
     try:
         _check_frame(cfg["filter"], cfg["pitch"])
     except ValueError as exc:
-        raise ConfigError(f"image_size x pixel_mm is too large for "
+        raise ConfigError("image_size x pixel_mm is too large for "
                           f"pitch={cfg['pitch']!r}: {exc}") from None
     # quantize divides every sample by the step; bound the samples by the
     # largest contrast over a chord of the scan circle, summed with weights
