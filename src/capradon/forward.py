@@ -16,18 +16,17 @@ sweep is the sum of the clusters' sweeps.  Within a cluster, heights
 that cut it in the same cross-sections form one group, whose weight
 rows are summed once.  Groups with the same members present share one
 band of lattice lines per angle, around those members' footprint
-discs; the lines outside it miss them and contribute exactly 0.  The
-(group, angle) rows of such a set are integrated in chunks of at most
-_CHUNK_LINES lines, one line_integrals call each, every row at its own
-angle and height, so the calls follow the lines integrated, not the
-number of groups.  A chunk holds whole groups at every angle, or one
-group at a block of angles.  A block of groups shares one buffer of a
-row of lattice lines per (angle, group), at most _BLOCK_VALUES values
-or one group's rows, and takes one polyphase window product for all
-gaps (Vaidyanathan, Multirate Systems and Filter Banks, 1993): the line
-integrals are cut into cells of one pitch, and the detector windows of
-every gap and group become one BLAS matrix product per cell offset
-within a window.
+discs; the lines outside it miss them and contribute exactly 0.  Such
+a set is swept in blocks of groups.  A block's (group, angle) rows form
+one stream, every row at its own angle and height, integrated in chunks
+of at most _CHUNK_LINES lines, one line_integrals call each, so the
+calls follow the lines integrated, not the number of groups.  A block
+shares one buffer of a row of lattice lines per (angle, group), at most
+_BLOCK_VALUES values or one group's rows, and takes one polyphase
+window product for all gaps (Vaidyanathan, Multirate Systems and Filter
+Banks, 1993): the line integrals are cut into cells of one pitch, and
+the detector windows of every gap and group become one BLAS matrix
+product per cell offset within a window.
 
 Sensor-frame convention: the line with signed offset s at angle theta
 passes through the points (s*cos(theta) - t*sin(theta),
@@ -67,12 +66,12 @@ _ECTS_MAGIC = b"ECTS"
 _ECTS_VERSION = 1
 _ECTS_HEADER = struct.Struct("<4sH2I3dH")
 _GAP_TAG = struct.Struct("<H")
-# Lines per line_integrals call: whole height groups at every angle, or
-# one group at a block of angles, each row one band.  A call holds a few
-# arrays of one value per line (4096 doubles are 32 KiB) and a few of one
-# value per crossing, which stay under glibc's initial 128 KiB mmap
-# threshold up to three crossings per line.  So the calls reuse heap
-# memory instead of mapping fresh pages.
+# Lines per line_integrals call: a run of a block's stream of (group,
+# angle) rows, each row one band.  A call holds a few arrays of one value
+# per line (4096 doubles are 32 KiB) and a few of one value per crossing,
+# which stay under glibc's initial 128 KiB mmap threshold up to three
+# crossings per line.  So the calls reuse heap memory instead of mapping
+# fresh pages.
 _CHUNK_LINES = 4096
 # Values of the lattice-wide line integrals of one block of height groups
 # (512 KiB).  Every group fills a row of lattice lines per angle, far
@@ -219,7 +218,7 @@ def _line_bands(cluster, angles, x_mm):
     return np.clip(lo.astype(int), 0, x_mm.size - width), width
 
 
-def simulate_sweep(spec, weights, geometry, metadata=None):
+def simulate_sweep(spec, weights, geometry):
     """Simulate a full rotation sweep over every gap in the geometry.
 
     weights maps gap -> conditioned WeightGrid.  All grids must share
@@ -238,8 +237,6 @@ def simulate_sweep(spec, weights, geometry, metadata=None):
     for k in geometry.gaps:
         meta[f"weight_sha256_k{k}"] = hashlib.sha256(
             pack_weight(grids[k])).hexdigest()
-    if metadata:
-        meta.update({str(k): str(v) for k, v in metadata.items()})
 
     p = geometry.n_angles
     angles = geometry.angles()
@@ -278,7 +275,6 @@ def simulate_sweep(spec, weights, geometry, metadata=None):
                                   in zip(cluster.primitives, present) if on)
             first, width = _line_bands(members, angles, x_mm)
             per_chunk = max(1, _CHUNK_LINES // width)
-            n_ang = min(p, per_chunk)
             n_grp = max(1, min(per_chunk // p, len(groups),
                                _BLOCK_VALUES // (p * row_cells * spp)))
             # proj[angle, line, group], zero outside the band; every block
@@ -289,14 +285,13 @@ def simulate_sweep(spec, weights, geometry, metadata=None):
                 z = z_live[[rows[0] for rows in block]]
                 if len(block) < n_grp:
                     proj = np.zeros((p, row_cells * spp, len(block)))
-                for a0 in range(0, p, n_ang):
-                    a = slice(a0, a0 + n_ang)
-                    lines = first[a, None] + np.arange(width)
-                    np.put_along_axis(
-                        proj[a], lines[..., None],
-                        line_integrals(members, angles[a, None], x_mm[lines],
-                                       z[:, None, None]).transpose(1, 2, 0),
-                        axis=1)
+                # the block's (group, angle) rows, per_chunk to a call
+                g, a = np.divmod(np.arange(len(block) * p)[:, None], p)
+                for r0 in range(0, len(g), per_chunk):
+                    gr, ar = g[r0:r0 + per_chunk], a[r0:r0 + per_chunk]
+                    lines = first[ar] + np.arange(width)
+                    proj[ar, lines, gr] = line_integrals(
+                        members, angles[ar], x_mm[lines], z[gr])
                 wm = _window_weights([grids[k] for k in geometry.gaps],
                                      [live[rows] for rows in block],
                                      win_cells, spp)

@@ -20,10 +20,13 @@ other, so one call can take a block of rows (theta[:, None] and
 z[:, None]) with a row of offsets each, every row at its own angle and
 height.
 
-Each primitive's `footprint_disc` is a disc that holds its xy
-cross-section at every height.  Primitives whose z ranges overlap and
-whose discs meet are linked; `overlap_clusters` returns the connected
-components, between which "last listed wins" never applies.
+Each primitive's `footprint_token` takes a height or an array of
+heights; heights with equal tokens cut it in the same cross-section, so
+`height_groups` takes one call per primitive.  Its `footprint_disc` is
+a disc that holds its xy cross-section at every height.  Primitives
+whose z ranges overlap and whose discs meet are linked;
+`overlap_clusters` returns the connected components, between which
+"last listed wins" never applies.
 """
 
 import itertools
@@ -140,7 +143,7 @@ class Primitive:
 
     def footprint_token(self, z):
         # the xy cross-section is the same at every covered height
-        return True if self.covers(z) else None
+        return np.where(self.covers(z), True, None)[()]
 
 
 @dataclass(frozen=True)
@@ -250,16 +253,14 @@ class Sphere(Primitive):
     def _section(self, theta, s, z):
         """Entry and exit t per line through the slice at z, (*lines, 2)."""
         cx, cy, cz = self.center
-        # the slice radius of each height in scalar arithmetic, so a row of
-        # lines gets the bits of a call at its height alone
-        radii = [math.sqrt(max(self.radius**2 - (h - cz) ** 2, 0.0))
-                 for h in np.ravel(z).tolist()]
-        return _disc_crossings(cx, cy, np.reshape(radii, np.shape(z)),
+        # an uncovered height gets radius 0, which crossings masks
+        d = np.minimum(np.abs(z - cz), self.radius)
+        return _disc_crossings(cx, cy, np.sqrt(self.radius**2 - d * d),
                                theta, s)
 
     def footprint_token(self, z):
         # the xy cross-section changes with height, so the token carries z
-        return z if self.covers(z) else None
+        return np.where(self.covers(z), z, None)[()]
 
     def footprint_disc(self):
         return (self.center[0], self.center[1], self.radius)
@@ -349,8 +350,8 @@ def height_groups(prims, heights):
     the order of their first height.
     """
     groups = {}
-    for i, z in enumerate(heights):
-        tokens = tuple(prim.footprint_token(z) for prim in prims)
+    columns = [prim.footprint_token(heights) for prim in prims]
+    for i, tokens in enumerate(zip(*columns)):
         if any(tok is not None for tok in tokens):
             groups.setdefault(tokens, []).append(i)
     return groups
@@ -370,7 +371,7 @@ def eval_permittivity(spec, x, y, z):
     out = np.ones(z.shape + plane)
     rows = out.reshape((-1,) + plane)
     for prim in spec.primitives:
-        for members in height_groups((prim,), z.flat).values():
+        for members in height_groups((prim,), z.ravel()).values():
             inside = prim.contains(x, y, z.flat[members[0]])
             rows[members] = np.where(inside, prim.contrast, rows[members])
     return out.item() if out.ndim == 0 else out
@@ -530,6 +531,8 @@ class VoxelGrid:
             raise ValueError("values must be (nz, ny, nx)")
         if not all(np.isfinite(s) and s > 0 for s in self.spacing):
             raise ValueError("spacing must be positive and finite")
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError("origin must be finite")
         if not np.all(vals > 0):
             raise ValueError("permittivity values must be positive")
 

@@ -225,6 +225,8 @@ def pack_layer(image, gap, pitch):
     image = np.asarray(image, dtype=float)
     if image.ndim != 2 or image.shape[0] != image.shape[1]:
         raise ValueError("layer image must be square")
+    if gap < 1:
+        raise ValueError(f"gap must be at least 1, got {gap}")
     header = _ECTL_HEADER.pack(_ECTL_MAGIC, _ECTL_VERSION, gap,
                                image.shape[0], pitch)
     return header + image.astype("<f4").tobytes()
@@ -241,8 +243,9 @@ def load_layer(path):
         blob = fh.read()
     gap, size, pitch = read_header(blob, _ECTL_HEADER, _ECTL_MAGIC,
                                    _ECTL_VERSION, LayerFileError)
-    if size < 1 or not 0 < pitch < np.inf:
-        raise LayerFileError(f"bad frame: size {size}, pitch {pitch}")
+    if gap < 1 or size < 1 or not 0 < pitch < np.inf:
+        raise LayerFileError(
+            f"bad frame: gap {gap}, size {size}, pitch {pitch}")
     image, _ = read_samples(blob, _ECTL_HEADER.size, (size, size),
                             LayerFileError)
     return gap, pitch, image

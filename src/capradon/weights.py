@@ -69,6 +69,10 @@ class WeightGrid:
         if not (np.isfinite(self.dx) and np.isfinite(self.dz)
                 and self.dx > 0 and self.dz > 0):
             raise ValueError("dx and dz must be positive and finite")
+        if not np.all(np.isfinite([self.x_origin, self.z_origin,
+                                   self.scale, self.z_cut])):
+            raise ValueError("x_origin, z_origin, scale and z_cut must be "
+                             "finite")
 
     @property
     def nx(self):

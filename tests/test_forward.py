@@ -423,23 +423,25 @@ def test_sweep_split_into_chunks_matches_scalar_reference(coeffs,
     calls = []
 
     def spy(spec, theta, s, z):
-        # (groups, angles, lines per row) of each chunk
-        calls.append((np.size(z), np.shape(theta)[0], np.shape(s)[-1]))
+        # (group, angle) rows and lines per row of each chunk
+        calls.append(np.shape(s))
         return phantom.line_integrals(spec, theta, s, z)
 
     monkeypatch.setattr(forward, "line_integrals", spy)
     simulate_sweep(_FIVE_GROUPS, w, geom)
-    ((_, _, width),) = calls
-    assert calls == [(5, 3, width)]
-    # one line a chunk, so each row is its own; two rows, so a group's
-    # three angles split 2 + 1; six rows, so the five groups split 2 + 2 + 1
-    for lines, want in ((1, [(1, 1)] * 15),
-                        (2 * width, [(1, 2), (1, 1)] * 5),
-                        (7 * width - 1, [(2, 3), (2, 3), (1, 3)])):
+    ((rows, width),) = calls
+    assert rows == 15
+    # one line a chunk, so each row is its own; two rows, so each group's
+    # block of three rows splits 2 + 1; six rows, so blocks of two groups,
+    # six rows each, and the last group's three
+    for lines, want in ((1, [1] * 15),
+                        (2 * width, [2, 1] * 5),
+                        (7 * width - 1, [6, 6, 3])):
         monkeypatch.setattr(forward, "_CHUNK_LINES", lines)
         calls.clear()
         sino = simulate_sweep(_FIVE_GROUPS, w, geom)
-        assert [call[:2] for call in calls] == want
+        assert [shape[0] for shape in calls] == want
+        assert all(shape[1] == width for shape in calls)
         for k in geom.gaps:
             np.testing.assert_allclose(
                 sino.data[k], refs[k], rtol=0,
@@ -634,10 +636,10 @@ def test_sweep_validation(coeffs, small_weights, geom):
         simulate_sweep(far, small_weights, geom)
 
 
-def _example_sinogram(small_weights, geom, metadata=None):
+def _example_sinogram(small_weights, geom):
     spec = PhantomSpec((Sphere(center=(3.0, -1.0, 6.0), radius=2.5,
                                contrast=2.0),))
-    return simulate_sweep(spec, small_weights, geom, metadata=metadata)
+    return simulate_sweep(spec, small_weights, geom)
 
 
 def test_quantize_spot_values(geom):
@@ -674,8 +676,8 @@ def test_quantize_zero_is_identity(small_weights, geom):
 
 
 def test_sinogram_round_trip(tmp_path, small_weights, geom):
-    sino = _example_sinogram(small_weights, geom,
-                             metadata={"note": "k=v pairs survive"})
+    sino = _example_sinogram(small_weights, geom)
+    sino.metadata["note"] = "k=v pairs survive"
     path = tmp_path / "sweep.ects"
     save_sinogram(sino, path)
     back = load_sinogram(path)

@@ -1,5 +1,6 @@
 import itertools
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +285,35 @@ def test_footprint_tokens():
     # sphere cross-sections differ with height, so tokens carry it
     assert sph.footprint_token(3.5) != sph.footprint_token(4.5)
     assert sph.footprint_token(5.5) is None
+
+
+def test_footprint_tokens_take_an_array_of_heights(mixed_spec):
+    # every kind, at heights in, out and on the closed z faces
+    z = np.linspace(2.0, 6.0, 33)
+    for prim in mixed_spec.primitives:
+        tokens = prim.footprint_token(z)
+        assert tokens.shape == z.shape
+        for tok, h in zip(tokens, z.tolist()):
+            one = prim.footprint_token(h)
+            assert not isinstance(one, np.ndarray)
+            assert (tok is None) == (one is None) and tok == one
+
+
+def test_sphere_far_from_a_height_is_missed_without_overflow():
+    # (z - cz)**2 overflows a float at z = 1e200, a height the sphere
+    # does not cover
+    sph = Sphere(center=(0.5, -0.5, 4.0), radius=1.0, contrast=2.0)
+    spec = PhantomSpec((sph,))
+    s = np.linspace(-2.0, 2.0, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(line_integrals(spec, 0.3, s, 1e200),
+                                      0.0)
+        assert not sph.contains(0.0, 0.0, 1e200)
+        rows = line_integrals(spec, 0.3, s, np.array([[4.5], [1e200]]))
+    np.testing.assert_array_equal(rows[0], line_integrals(spec, 0.3, s, 4.5))
+    np.testing.assert_array_equal(rows[1], 0.0)
+    assert np.any(rows[0] > 0)
 
 
 def test_footprint_discs_hold_every_inside_point(mixed_spec):
@@ -679,6 +709,17 @@ def voxel_blob(mixed_spec):
 
 # ECTV header: magic, nx, ny, nz, spacing (3), origin (3)
 _ECTV_HEADER = struct.Struct("<4s3I6d")
+
+
+def test_voxel_load_rejects_non_finite_origin(tmp_path, voxel_blob):
+    path = tmp_path / "bad.ectv"
+    fields = _ECTV_HEADER.unpack_from(voxel_blob)
+    for i, value in itertools.product((7, 8, 9), (np.nan, np.inf, -np.inf)):
+        bad = bytearray(voxel_blob)
+        _ECTV_HEADER.pack_into(bad, 0, *fields[:i], value, *fields[i + 1:])
+        path.write_bytes(bytes(bad))
+        with pytest.raises(VoxelFileError, match="origin must be finite"):
+            load_voxels(path)
 
 
 @settings(max_examples=300, deadline=None,

@@ -1,4 +1,5 @@
 import csv
+import struct
 import warnings
 
 import numpy as np
@@ -409,6 +410,18 @@ def test_layer_load_rejects_garbage(tmp_path):
         load_layer(bad)
 
 
+def test_layer_gap_below_one_is_refused(tmp_path):
+    path = tmp_path / "layer.ectl"
+    with pytest.raises(ValueError, match="gap"):
+        save_layer(np.zeros((4, 4)), 0, 2.5, path)
+    # the gap is the u16 at offset 6, after the magic and the version
+    blob = bytearray(pack_layer(np.zeros((4, 4)), 1, 2.5))
+    struct.pack_into("<H", blob, 6, 0)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(LayerFileError, match="gap 0"):
+        load_layer(path)
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cut=st.one_of(st.just(0), st.integers(min_value=0, max_value=100)),
@@ -424,10 +437,10 @@ def test_layer_load_raises_only_its_own_error(tmp_path, cut, edits):
     path = tmp_path / "mutated.ectl"
     path.write_bytes(bytes(blob[:len(blob) - cut % len(blob)]))
     try:
-        _, pitch, image = load_layer(path)
+        gap, pitch, image = load_layer(path)
     except LayerFileError:
         return
-    assert 0 < pitch < np.inf
+    assert gap >= 1 and 0 < pitch < np.inf
     assert image.ndim == 2 and image.shape[0] == image.shape[1] >= 1
 
 

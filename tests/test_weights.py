@@ -307,6 +307,20 @@ def weight_blob():
 _ECTW_HEADER = struct.Struct("<4sH3I6d")
 
 
+def test_load_rejects_non_finite_header_numbers(tmp_path, weight_blob):
+    path = tmp_path / "bad.ectw"
+    fields = _ECTW_HEADER.unpack_from(weight_blob)
+    # x0, z0, scale and z_cut
+    for i in (7, 8, 9, 10):
+        for value in (np.nan, np.inf, -np.inf):
+            bad = bytearray(weight_blob)
+            _ECTW_HEADER.pack_into(bad, 0, *fields[:i], value,
+                                   *fields[i + 1:])
+            path.write_bytes(bytes(bad))
+            with pytest.raises(WeightFileError, match="must be finite"):
+                load_weight(path)
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(counts=st.dictionaries(st.integers(2, 4), st.integers(0, 2**32 - 1),
