@@ -103,10 +103,25 @@ def _inside(cuts, t):
 
     cuts holds the crossings along its last axis; NaN cuts count as none.
     """
-    inside = np.zeros(np.broadcast(cuts[..., 0], t).shape, dtype=bool)
-    for i in range(cuts.shape[-1]):
-        inside ^= cuts[..., i] < t
+    inside = cuts[..., 0] < t
+    for i in range(1, cuts.shape[-1]):
+        inside = inside != (cuts[..., i] < t)
     return inside
+
+
+def _slab(base, slope, h):
+    """Entry and exit t of each line base + t*slope through [-h, h]."""
+    along = np.abs(slope) < 1e-12
+    if along.any():
+        slope = np.where(along, 1.0, slope)
+    t1, t2 = (-h - base) / slope, (h - base) / slope
+    near, far = np.minimum(t1, t2), np.maximum(t1, t2)
+    if along.any():
+        # a line along the slab lies in all of it or in none of it
+        near = np.where(along, np.where(np.abs(base) <= h, -np.inf, np.inf),
+                        near)
+        far = np.where(along, np.inf, far)
+    return near, far
 
 
 class Primitive:
@@ -118,6 +133,10 @@ class Primitive:
     `contains` and `footprint_token` follow from the two.
     """
 
+    # whether `crossings` gives each line one (entry, exit) pair with
+    # entry <= exit, or two NaN: true of the convex kinds
+    sorted_pair = False
+
     def crossings(self, theta, s, z):
         """The t where each line crosses the boundary, (*lines, cuts).
 
@@ -127,8 +146,12 @@ class Primitive:
         """
         s = np.atleast_1d(s)
         z = np.asarray(z, dtype=float)
-        return np.where(np.asarray(self.covers(z))[..., None],
-                        self._section(theta, s, z), np.nan)
+        covered = np.asarray(self.covers(z))[..., None]
+        section = self._section(theta, s, z)
+        if covered.all():
+            return np.broadcast_to(
+                section, np.broadcast_shapes(covered.shape, section.shape))
+        return np.where(covered, section, np.nan)
 
     def contains(self, x, y, z):
         """Whether each point (x, y) of a plane at height z lies inside.
@@ -150,6 +173,8 @@ class Primitive:
 class Box(Primitive):
     """Axis-extruded box, rotated about the z axis through its center."""
 
+    sorted_pair = True
+
     center: tuple
     half_extents: tuple
     angle_deg: float
@@ -167,23 +192,14 @@ class Box(Primitive):
         """Entry and exit t per line, (*lines, 2), by slab clipping."""
         hx, hy = self.half_extents[:2]
         a = np.deg2rad(self.angle_deg)
+        ca, sa = np.cos(a), np.sin(a)
         c, sn = np.cos(theta), np.sin(theta)
         px = s * c - self.center[0]
         py = s * sn - self.center[1]
-        shape = np.broadcast(px, py).shape
-        lo = np.full(shape, -np.inf)
-        hi = np.full(shape, np.inf)
-        for (ex, ey), h in (((np.cos(a), np.sin(a)), hx),
-                            ((-np.sin(a), np.cos(a)), hy)):
-            base = px * ex + py * ey
-            slope = -sn * ex + c * ey
-            # a line along the slab lies in all of it or in none of it
-            along = np.abs(slope) < 1e-12
-            slope = np.where(along, 1.0, slope)
-            t1, t2 = (-h - base) / slope, (h - base) / slope
-            lo = np.where(along, np.where(np.abs(base) <= h, lo, np.inf),
-                          np.maximum(lo, np.minimum(t1, t2)))
-            hi = np.where(along, hi, np.minimum(hi, np.maximum(t1, t2)))
+        (lo_x, hi_x), (lo_y, hi_y) = (
+            _slab(px * ex + py * ey, -sn * ex + c * ey, h)
+            for (ex, ey), h in (((ca, sa), hx), ((-sa, ca), hy)))
+        lo, hi = np.maximum(lo_x, lo_y), np.minimum(hi_x, hi_y)
         hit = lo <= hi
         return np.stack([np.where(hit, lo, np.nan),
                          np.where(hit, hi, np.nan)], axis=-1)
@@ -205,6 +221,8 @@ class Box(Primitive):
 @dataclass(frozen=True)
 class Cylinder(Primitive):
     """Circular cylinder with axis parallel to z."""
+
+    sorted_pair = True
 
     cx: float
     cy: float
@@ -238,6 +256,8 @@ class Cylinder(Primitive):
 
 @dataclass(frozen=True)
 class Sphere(Primitive):
+    sorted_pair = True
+
     center: tuple
     radius: float
     contrast: float
@@ -377,6 +397,52 @@ def eval_permittivity(spec, x, y, z):
     return out.item() if out.ndim == 0 else out
 
 
+# Most ends that a cluster of convex members merges; past this, and for
+# any cluster with a polygon, each line's ends go through np.sort.
+_MERGE_ENDS = 8
+
+
+def _merge_network(n):
+    """Compare-exchange pairs that sort n ends given as sorted pairs.
+
+    Batcher's odd-even merge sort (AFIPS 1968) from blocks of two, on the
+    next power of two; pairs that reach past n would meet the +inf
+    padding, which leaves them as they are, so they are dropped.
+    """
+    size = 1 << (n - 1).bit_length()
+    pairs = []
+    block = 2
+    while block < size:
+        k = block
+        while k >= 1:
+            for j in range(k % block, size - k, 2 * k):
+                for i in range(j, j + min(k, size - j - k)):
+                    if i // (2 * block) == (i + k) // (2 * block) and i + k < n:
+                        pairs.append((i, i + k))
+            k //= 2
+        block *= 2
+    return pairs
+
+
+def _line_ends(prims, cuts):
+    """Each line's crossings in ascending order, NaN last, (*lines, ends).
+
+    A convex member gives one sorted pair per line, so a lone one's pair
+    is already in order and several are merged by compare-exchange:
+    np.fmin keeps the end that is not NaN and np.maximum the NaN, so NaN
+    acts as +inf and sorts last, as in np.sort.
+    """
+    if not all(p.sorted_pair for p in prims) or 2 * len(cuts) > _MERGE_ENDS:
+        return np.sort(np.concatenate(cuts, axis=-1), axis=-1)
+    if len(cuts) == 1:
+        return cuts[0]
+    ends = [pair[..., k] for pair in cuts for k in (0, 1)]
+    for i, j in _merge_network(len(ends)):
+        ends[i], ends[j] = (np.fmin(ends[i], ends[j]),
+                            np.maximum(ends[i], ends[j]))
+    return np.stack(ends, axis=-1)
+
+
 def line_integrals(spec, theta, s, z):
     """Exact integral of (permittivity - 1) along each line at its height.
 
@@ -391,15 +457,16 @@ def line_integrals(spec, theta, s, z):
     cuts = [p.crossings(theta, s, z) for p in spec.primitives]
     if not cuts:
         return np.zeros(_line_shape(theta, s, z))
-    ends = np.sort(np.concatenate(cuts, axis=-1), axis=-1)
+    ends = _line_ends(spec.primitives, cuts)
     # NaN ends sort last, so segments past a line's last crossing vanish
-    lengths = np.nan_to_num(np.diff(ends, axis=-1))
+    lengths = np.diff(ends, axis=-1)
+    lengths = np.where(np.isnan(lengths), 0.0, lengths)
     mids = 0.5 * (ends[..., 1:] + ends[..., :-1])
-    values = np.ones(mids.shape)
+    excess = np.zeros(mids.shape)
     for prim, pts in zip(spec.primitives, cuts):
-        values = np.where(_inside(pts[..., None, :], mids), prim.contrast,
-                          values)
-    return np.sum((values - 1.0) * lengths, axis=-1)
+        excess = np.where(_inside(pts[..., None, :], mids),
+                          prim.contrast - 1.0, excess)
+    return np.sum(excess * lengths, axis=-1)
 
 
 def _meet(a, b):
