@@ -14,7 +14,12 @@ a height, NaN where there is none; a point of a line is inside the
 primitive when an odd number of the primitive's crossings lie below it.
 This parity rule is the one inside rule: `contains` applies it to the
 lines at theta 0, whose points are (s, t) = (x, y), so it is half-open on
-lateral faces; each kind's `covers` is its z test, closed on the z faces.
+the lateral faces that a line crosses; each kind's `covers` is its z
+test, closed on the z faces.  A line that lies exactly on a box face
+(within 1e-12 of parallel to it) counts as inside the box over its whole
+chord, so the rule is closed on the faces that a line runs along.  A box
+at a multiple of 90 degrees takes exact cosines and sines, so its faces
+are exactly parallel to the lines at theta 0 and pi/2.
 `crossings` and `line_integrals` broadcast theta, s and z against each
 other, so one call can take a block of rows (theta[:, None] and
 z[:, None]) with a row of offsets each, every row at its own angle and
@@ -83,6 +88,14 @@ def _check_contrast(contrast):
         raise ValueError(f"contrast must be positive, got {contrast}")
 
 
+def _check_radius(radius):
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    # the sections square the radius
+    if not math.isfinite(radius * radius):
+        raise ValueError(f"radius {radius} is too large to square")
+
+
 def _line_shape(theta, s, z):
     return np.broadcast(np.asarray(theta), np.atleast_1d(s),
                         np.asarray(z)).shape
@@ -109,14 +122,25 @@ def _inside(cuts, t):
     return inside
 
 
+def _cos_sin(angle_deg):
+    """cos and sin of an angle in degrees, exact at multiples of 90."""
+    quarter, rest = divmod(angle_deg, 90.0)
+    if rest == 0:
+        return ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0),
+                (0.0, -1.0))[int(quarter) % 4]
+    a = np.deg2rad(angle_deg)
+    return np.cos(a), np.sin(a)
+
+
 def _slab(base, slope, h):
     """Entry and exit t of each line base + t*slope through [-h, h]."""
     along = np.abs(slope) < 1e-12
-    if along.any():
+    any_along = along.any()
+    if any_along:
         slope = np.where(along, 1.0, slope)
     t1, t2 = (-h - base) / slope, (h - base) / slope
     near, far = np.minimum(t1, t2), np.maximum(t1, t2)
-    if along.any():
+    if any_along:
         # a line along the slab lies in all of it or in none of it
         near = np.where(along, np.where(np.abs(base) <= h, -np.inf, np.inf),
                         near)
@@ -191,8 +215,7 @@ class Box(Primitive):
     def _section(self, theta, s, z):
         """Entry and exit t per line, (*lines, 2), by slab clipping."""
         hx, hy = self.half_extents[:2]
-        a = np.deg2rad(self.angle_deg)
-        ca, sa = np.cos(a), np.sin(a)
+        ca, sa = _cos_sin(self.angle_deg)
         c, sn = np.cos(theta), np.sin(theta)
         px = s * c - self.center[0]
         py = s * sn - self.center[1]
@@ -210,10 +233,10 @@ class Box(Primitive):
 
     def bounds(self):
         hx, hy, hz = self.half_extents
-        a = np.deg2rad(self.angle_deg)
+        ca, sa = _cos_sin(self.angle_deg)
         # rotated footprint corner reach
-        rx = abs(hx * np.cos(a)) + abs(hy * np.sin(a))
-        ry = abs(hx * np.sin(a)) + abs(hy * np.cos(a))
+        rx = abs(hx * ca) + abs(hy * sa)
+        ry = abs(hx * sa) + abs(hy * ca)
         cx, cy, cz = self.center
         return (cx - rx, cx + rx, cy - ry, cy + ry, cz - hz, cz + hz)
 
@@ -233,8 +256,7 @@ class Cylinder(Primitive):
 
     def __post_init__(self):
         _check_contrast(self.contrast)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        _check_radius(self.radius)
         if self.z_hi <= self.z_lo:
             raise ValueError("z_hi must exceed z_lo")
 
@@ -264,8 +286,7 @@ class Sphere(Primitive):
 
     def __post_init__(self):
         _check_contrast(self.contrast)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        _check_radius(self.radius)
 
     def covers(self, z):
         return abs(z - self.center[2]) <= self.radius
@@ -398,7 +419,11 @@ def eval_permittivity(spec, x, y, z):
 
 
 # Most ends that a cluster of convex members merges; past this, and for
-# any cluster with a polygon, each line's ends go through np.sort.
+# any cluster with a polygon, each line's ends go through np.sort.  On a
+# 2-vCPU Xeon VM, for 1026 lines (the fewest of a mixed-scene call with
+# several members), the merge took 21 / 47 / 67 / 111 us at 4 / 6 / 8 /
+# 10 ends and np.sort 60 / 66 / 66 / 89 us; at 4080 lines the merge was
+# ahead up to 16 ends.
 _MERGE_ENDS = 8
 
 
@@ -417,7 +442,8 @@ def _merge_network(n):
         while k >= 1:
             for j in range(k % block, size - k, 2 * k):
                 for i in range(j, j + min(k, size - j - k)):
-                    if i // (2 * block) == (i + k) // (2 * block) and i + k < n:
+                    same = i // (2 * block) == (i + k) // (2 * block)
+                    if same and i + k < n:
                         pairs.append((i, i + k))
             k //= 2
         block *= 2
@@ -449,9 +475,10 @@ def line_integrals(spec, theta, s, z):
     The lines sit at offsets s (mm), angles theta and heights z (mm),
     broadcast against each other, so each row of a block of lines can
     have its own angle and height.  All crossings split each line into
-    elementary segments; every primitive whose inside rule holds on a
-    segment overwrites its value in list order, so the last one listed
-    wins, as in eval_permittivity.
+    elementary segments (in ascending order: merged from the convex
+    members' sorted pairs, or sorted when a polygon is present); every
+    primitive whose inside rule holds on a segment overwrites its value in
+    list order, so the last one listed wins, as in eval_permittivity.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     cuts = [p.crossings(theta, s, z) for p in spec.primitives]

@@ -10,18 +10,32 @@ arbitrary broadcast points (x, y, z).
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from capradon.phantom import Box, Cylinder, ExtrudedPolygon, Sphere
 
 
+def box_cos_sin(angle_deg):
+    """cos and sin of a box's angle in degrees, exact at quarter turns.
+
+    A box at a multiple of 90 degrees then has exactly axis-parallel
+    faces, as in the program.
+    """
+    if math.fmod(angle_deg, 90.0) == 0:
+        return ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0),
+                (0.0, -1.0))[round(angle_deg / 90.0) % 4]
+    a = np.deg2rad(angle_deg)
+    return np.cos(a), np.sin(a)
+
+
 def _box(prim, x, y, z):
-    a = np.deg2rad(prim.angle_deg)
+    ca, sa = box_cos_sin(prim.angle_deg)
     dx = np.asarray(x) - prim.center[0]
     dy = np.asarray(y) - prim.center[1]
-    u = dx * np.cos(a) + dy * np.sin(a)
-    v = -dx * np.sin(a) + dy * np.cos(a)
+    u = dx * ca + dy * sa
+    v = -dx * sa + dy * ca
     hx, hy, hz = prim.half_extents
     return ((np.abs(u) <= hx) & (np.abs(v) <= hy)
             & (np.abs(np.asarray(z) - prim.center[2]) <= hz))

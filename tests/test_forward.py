@@ -194,9 +194,8 @@ def _line_cuts(prim, theta, s, z):
         hx, hy, hz = prim.half_extents
         if abs(z - cz) > hz:
             return []
-        a = math.radians(prim.angle_deg)
-        verts = [(cx + u * math.cos(a) - v * math.sin(a),
-                  cy + u * math.sin(a) + v * math.cos(a))
+        ca, sa = point_oracle.box_cos_sin(prim.angle_deg)
+        verts = [(cx + u * ca - v * sa, cy + u * sa + v * ca)
                  for u, v in ((-hx, -hy), (hx, -hy), (hx, hy), (-hx, hy))]
     else:
         if not prim.z_lo <= z <= prim.z_hi:
@@ -399,9 +398,26 @@ def random_weights(coeffs):
 # a cylinder whose disc touches the line at angle 0 and offset 0
 @example(prims=[Cylinder(3.39453125, -3.6765365618654746, 2.5, 3.875,
                          3.39453125, 2.0)])
+# a box at a half turn whose faces x = 0 and x = 2 mm lie on the lines at
+# angle 0 and offsets 0 and 2 mm
+@example(prims=[Box((1, 0, 3.875), (1, 1, 0.625), 180, 2.0)])
 def test_random_sweep_matches_scalar_reference(random_weights, prims):
     _assert_gaps_match_reference(PhantomSpec(prims), random_weights,
                                  _RANDOM_GEOM)
+
+
+@pytest.mark.parametrize("angle", [0.0, 90.0, 180.0, 270.0])
+def test_quarter_turn_boxes_on_lattice_lines_match_reference(random_weights,
+                                                             angle):
+    # the lattice lines sit at multiples of 1.25 mm, so most of these
+    # boxes have faces on the lines at angle 0, where a line on a face
+    # counts as inside over its whole chord on both sides
+    for cx, cy in ((-1.25, 0.0), (0.0, 1.25), (1.25, -1.25), (2.5, 0.625),
+                   (0.625, 2.5)):
+        for hx, hy in ((1.25, 0.625), (0.625, 1.25), (1.25, 1.25)):
+            box = Box((cx, cy, 3.875), (hx, hy, 0.625), angle, 2.0)
+            _assert_gaps_match_reference(PhantomSpec((box,)), random_weights,
+                                         _RANDOM_GEOM)
 
 
 # A box and a sphere in one cluster, both over all five live weight rows

@@ -30,6 +30,7 @@ from capradon.phantom import (
 )
 
 import point_oracle
+import segment_oracle
 from symmetry_oracle import mirrored_x, rotated_z, translated
 
 
@@ -528,6 +529,107 @@ def test_line_integrals_last_listed_wins():
         outer_chord * 1.0, rtol=0, atol=1e-12)
     assert line_integrals(PhantomSpec((outer, inner)), 0.4, 0.0, 1.0)[0] \
         == pytest.approx(12.0, abs=1e-12)
+
+
+# Coordinates on a 1/8 mm lattice put faces, corners and tangent points on
+# the lines' offsets (multiples of 1/8 mm), and quarter-turn boxes have
+# faces along the lines at angles 0 and pi/2.
+_eighths = st.integers(-32, 32).map(lambda k: k / 8)
+_place = st.one_of(_eighths, st.floats(-4.0, 4.0))
+_reach = st.one_of(st.integers(2, 24).map(lambda k: k / 8),
+                   st.floats(0.2, 3.0))
+_turn = st.one_of(st.sampled_from((0.0, 90.0, 180.0, 270.0, -90.0)),
+                  st.floats(-360.0, 360.0))
+_line_angle = st.one_of(st.sampled_from((0.0, np.pi / 2, np.pi, np.pi / 3)),
+                        st.floats(0.0, np.pi))
+_line_height = st.one_of(_eighths.map(lambda z: z / 4),
+                         st.floats(-1.5, 1.5))
+_weight = st.floats(0.25, 4.0)   # contrasts below and above 1
+_convex = st.one_of(
+    st.builds(lambda x, y, z, hx, hy, hz, a, eps: Box(
+                  (x, y, z / 4), (hx, hy, hz / 2), a, eps),
+              _place, _place, _place, _reach, _reach, _reach, _turn,
+              _weight),
+    st.builds(lambda x, y, z, h, r, eps: Cylinder(x, y, z / 4 - h / 2,
+                                                  z / 4 + h / 2, r, eps),
+              _place, _place, _place, _reach, _reach, _weight),
+    st.builds(lambda x, y, z, r, eps: Sphere((x, y, z / 4), r, eps),
+              _place, _place, _place, _reach, _weight))
+_member = st.one_of(_convex, st.builds(
+    lambda v, z, h, eps: ExtrudedPolygon(v, z / 4 - h / 2, z / 4 + h / 2,
+                                         eps),
+    st.lists(st.tuples(_place, _place), min_size=3, max_size=6).map(tuple),
+    _place, _reach, _weight))
+
+
+def _touching(prim, theta, z):
+    """Offsets of the lines at angle theta through the section's corners
+    (a box) or tangent to it (a disc) at height z."""
+    c, sn = np.cos(theta), np.sin(theta)
+    if isinstance(prim, Box):
+        ca, sa = point_oracle.box_cos_sin(prim.angle_deg)
+        (cx, cy), (hx, hy) = prim.center[:2], prim.half_extents[:2]
+        return [(cx + u * ca - v * sa) * c + (cy + u * sa + v * ca) * sn
+                for u in (-hx, hx) for v in (-hy, hy)]
+    cx, cy, r = prim.footprint_disc()
+    if isinstance(prim, Sphere):
+        r = np.sqrt(max(r * r - (z - prim.center[2]) ** 2, 0.0))
+    d = cx * c + cy * sn
+    return [d - r, d + r]
+
+
+@settings(max_examples=200, deadline=None)
+@given(prim=_convex, theta=_line_angle, z=_line_height,
+       offsets=st.lists(st.floats(-8.0, 8.0), max_size=20))
+def test_convex_crossings_are_one_sorted_pair(prim, theta, z, offsets):
+    # line_integrals uses a lone convex member's pair unsorted and merges
+    # several members' pairs, so each line's pair must be in order
+    s = np.array(offsets + _touching(prim, theta, z)
+                 + list(np.arange(-64, 65) / 8))
+    cuts = prim.crossings(theta, s, z)
+    assert cuts.shape == s.shape + (2,)
+    entry, exit_ = cuts[:, 0], cuts[:, 1]
+    np.testing.assert_array_equal(np.isnan(entry), np.isnan(exit_))
+    assert np.all(np.isnan(entry) | (entry <= exit_))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(members=st.lists(_member, min_size=1, max_size=4),
+       rows=st.lists(st.tuples(_line_angle, _line_height), min_size=1,
+                     max_size=4),
+       offsets=st.lists(st.floats(-8.0, 8.0), max_size=20))
+def test_line_integrals_match_sorted_segment_oracle_bitwise(members, rows,
+                                                            offsets):
+    spec = PhantomSpec(members)
+    theta = np.array([[t] for t, _ in rows])
+    z = np.array([[h] for _, h in rows])
+    s = np.array(offsets + list(np.arange(-64, 65) / 8))
+    got = line_integrals(spec, theta, s, z)
+    want = segment_oracle.line_integrals(spec, theta, s, z)
+    assert got.shape == want.shape == (len(rows), len(s))
+    # the same bits, the sign of zero included
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("line", ["sphere 0 0 0 1e200 2.0",
+                                  "cylinder 0 0 -1 1 1e200 2.0"])
+def test_parse_rejects_a_radius_too_large_to_square(line):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PhantomParseError,
+                           match="^line 2: radius .* too large to square"):
+            parse_phantom(f"# c\n{line}\n")
+
+
+@pytest.mark.parametrize("prim", [
+    Sphere((0.0, 0.0, 0.0), 1e154, 2.0),
+    Cylinder(0.0, 0.0, -1.0, 1.0, 1e154, 2.0)])
+def test_a_radius_that_squares_finitely_integrates(prim):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chords = line_integrals(PhantomSpec((prim,)), 0.0, [0.0, 1e153], 0.0)
+    assert np.all(np.isfinite(chords)) and chords[0] == 2e154
 
 
 def _box_volume_error(h, supersample=False):
