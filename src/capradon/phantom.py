@@ -172,10 +172,12 @@ class Primitive:
         z = np.asarray(z, dtype=float)
         covered = np.asarray(self.covers(z))[..., None]
         section = self._section(theta, s, z)
-        if covered.all():
-            return np.broadcast_to(
-                section, np.broadcast_shapes(covered.shape, section.shape))
-        return np.where(covered, section, np.nan)
+        if not covered.all():
+            return np.where(covered, section, np.nan)
+        shape = np.broadcast_shapes(covered.shape, section.shape)
+        if shape == section.shape:
+            return section
+        return np.broadcast_to(section, shape)
 
     def contains(self, x, y, z):
         """Whether each point (x, y) of a plane at height z lies inside.

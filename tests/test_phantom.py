@@ -563,8 +563,10 @@ _member = st.one_of(_convex, st.builds(
 
 
 def _touching(prim, theta, z):
-    """Offsets of the lines at angle theta through the section's corners
-    (a box) or tangent to it (a disc) at height z."""
+    """Offsets of the lines at angle theta that touch the section at z.
+
+    A box's lines go through its corners; a disc's are tangent to it.
+    """
     c, sn = np.cos(theta), np.sin(theta)
     if isinstance(prim, Box):
         ca, sa = point_oracle.box_cos_sin(prim.angle_deg)
