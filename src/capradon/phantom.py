@@ -166,7 +166,8 @@ class Primitive:
 
         theta, s and z broadcast to the lines; NaN marks a cut that a line
         does not make, and all of a line's cuts are NaN at a height the
-        primitive does not cover.
+        primitive does not cover.  Where every line is covered, the
+        result may be a read-only broadcast view.
         """
         s = np.atleast_1d(s)
         z = np.asarray(z, dtype=float)
