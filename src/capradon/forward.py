@@ -358,8 +358,10 @@ def pack_sinogram(sino):
 
 
 def save_sinogram(sino, path):
+    # packed before the file opens, so a refused pack leaves no file
+    blob = pack_sinogram(sino)
     with open(path, "wb") as fh:
-        fh.write(pack_sinogram(sino))
+        fh.write(blob)
 
 
 def load_sinogram(path):

@@ -299,8 +299,8 @@ class Sphere(Primitive):
         cx, cy, cz = self.center
         # an uncovered height gets radius 0, which crossings masks
         d = np.minimum(np.abs(z - cz), self.radius)
-        return _disc_crossings(cx, cy, np.sqrt(self.radius**2 - d * d),
-                               theta, s)
+        r2 = np.maximum(self.radius**2 - d * d, 0.0)
+        return _disc_crossings(cx, cy, np.sqrt(r2), theta, s)
 
     def footprint_token(self, z):
         # the xy cross-section changes with height, so the token carries z
@@ -421,55 +421,24 @@ def eval_permittivity(spec, x, y, z):
     return out.item() if out.ndim == 0 else out
 
 
-# Most ends that a cluster of convex members merges; past this, and for
-# any cluster with a polygon, each line's ends go through np.sort.  On a
-# 2-vCPU Xeon VM, for 1026 lines (the fewest of a mixed-scene call with
-# several members), the merge took 21 / 47 / 67 / 111 us at 4 / 6 / 8 /
-# 10 ends and np.sort 60 / 66 / 66 / 89 us; at 4080 lines the merge was
-# ahead up to 16 ends.
-_MERGE_ENDS = 8
-
-
-def _merge_network(n):
-    """Compare-exchange pairs that sort n ends given as sorted pairs.
-
-    Batcher's odd-even merge sort (AFIPS 1968) from blocks of two, on the
-    next power of two; pairs that reach past n would meet the +inf
-    padding, which leaves them as they are, so they are dropped.
-    """
-    size = 1 << (n - 1).bit_length()
-    pairs = []
-    block = 2
-    while block < size:
-        k = block
-        while k >= 1:
-            for j in range(k % block, size - k, 2 * k):
-                for i in range(j, j + min(k, size - j - k)):
-                    same = i // (2 * block) == (i + k) // (2 * block)
-                    if same and i + k < n:
-                        pairs.append((i, i + k))
-            k //= 2
-        block *= 2
-    return pairs
-
-
 def _line_ends(prims, cuts):
     """Each line's crossings in ascending order, NaN last, (*lines, ends).
 
     A convex member gives one sorted pair per line, so a lone one's pair
-    is already in order and several are merged by compare-exchange:
-    np.fmin keeps the end that is not NaN and np.maximum the NaN, so NaN
-    acts as +inf and sorts last, as in np.sort.
+    is already in order, and two members' pairs are merged by the three
+    compare-exchanges (0, 2), (1, 3), (1, 2): np.fmin keeps the end that
+    is not NaN and np.maximum the NaN, so NaN acts as +inf and sorts
+    last, as in np.sort.  Three or more members, or any polygon, go
+    through np.sort.
     """
-    if not all(p.sorted_pair for p in prims) or 2 * len(cuts) > _MERGE_ENDS:
+    if len(cuts) > 2 or not all(p.sorted_pair for p in prims):
         return np.sort(np.concatenate(cuts, axis=-1), axis=-1)
     if len(cuts) == 1:
         return cuts[0]
-    ends = [pair[..., k] for pair in cuts for k in (0, 1)]
-    for i, j in _merge_network(len(ends)):
-        ends[i], ends[j] = (np.fmin(ends[i], ends[j]),
-                            np.maximum(ends[i], ends[j]))
-    return np.stack(ends, axis=-1)
+    a, b = cuts
+    lo, b0 = np.fmin(a[..., 0], b[..., 0]), np.maximum(a[..., 0], b[..., 0])
+    a1, hi = np.fmin(a[..., 1], b[..., 1]), np.maximum(a[..., 1], b[..., 1])
+    return np.stack([lo, np.fmin(a1, b0), np.maximum(a1, b0), hi], axis=-1)
 
 
 def line_integrals(spec, theta, s, z):
@@ -478,10 +447,11 @@ def line_integrals(spec, theta, s, z):
     The lines sit at offsets s (mm), angles theta and heights z (mm),
     broadcast against each other, so each row of a block of lines can
     have its own angle and height.  All crossings split each line into
-    elementary segments (in ascending order: merged from the convex
-    members' sorted pairs, or sorted when a polygon is present); every
-    primitive whose inside rule holds on a segment overwrites its value in
-    list order, so the last one listed wins, as in eval_permittivity.
+    elementary segments (in ascending order: a lone convex member's pair
+    as it is, two convex members' pairs merged, anything else sorted);
+    every primitive whose inside rule holds on a segment overwrites its
+    value in list order, so the last one listed wins, as in
+    eval_permittivity.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     cuts = [p.crossings(theta, s, z) for p in spec.primitives]
@@ -674,8 +644,10 @@ def pack_voxels(grid):
 
 
 def save_voxels(grid, path):
+    # packed before the file opens, so a refused pack leaves no file
+    blob = pack_voxels(grid)
     with open(path, "wb") as fh:
-        fh.write(pack_voxels(grid))
+        fh.write(blob)
 
 
 def load_voxels(path):

@@ -233,8 +233,10 @@ def pack_layer(image, gap, pitch):
 
 
 def save_layer(image, gap, pitch, path):
+    # packed before the file opens, so a refused pack leaves no file
+    blob = pack_layer(image, gap, pitch)
     with open(path, "wb") as fh:
-        fh.write(pack_layer(image, gap, pitch))
+        fh.write(blob)
 
 
 def load_layer(path):

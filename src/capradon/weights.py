@@ -165,8 +165,10 @@ def pack_weight(grid):
 
 def save_weight(grid, path):
     """Write the grid to `path` in ECTW format."""
+    # packed before the file opens, so a refused pack leaves no file
+    blob = pack_weight(grid)
     with open(path, "wb") as fh:
-        fh.write(pack_weight(grid))
+        fh.write(blob)
 
 
 def load_weight(path):

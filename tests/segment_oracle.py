@@ -1,7 +1,7 @@
 """The segment rule of `line_integrals` with a sort on every line, as an oracle.
 
 The program orders each line's crossings without a sort where it can: a
-lone convex member's (entry, exit) pair is used as it is, and several
+lone convex member's (entry, exit) pair is used as it is, and two
 members' pairs are merged by compare-exchange.  This module keeps the
 plain form of the same rule: concatenate every member's crossings, sort
 each line's ends with np.sort (NaN last), and overwrite each segment in

@@ -706,6 +706,19 @@ def test_sinogram_round_trip(tmp_path, small_weights, geom):
     assert pack_sinogram(back) == path.read_bytes()
 
 
+def test_refused_sinogram_pack_writes_no_file(tmp_path, geom):
+    data = {k: np.zeros((geom.n_angles, geom.detector_count(k)))
+            for k in geom.gaps}
+    # a lone surrogate has no UTF-8 form, so the metadata tail is refused
+    sino = SinogramSet(geometry=geom, data=data, metadata={"note": "\ud800"})
+    path, kept = tmp_path / "sweep.ects", tmp_path / "kept.ects"
+    kept.write_bytes(b"kept")
+    for target in (path, kept):
+        with pytest.raises(UnicodeEncodeError):
+            save_sinogram(sino, target)
+    assert not path.exists() and kept.read_bytes() == b"kept"
+
+
 def test_quantized_sinogram_round_trip(tmp_path, small_weights, geom):
     q = quantize(_example_sinogram(small_weights, geom))
     path = tmp_path / "sweep_q.ects"

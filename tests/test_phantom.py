@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from capradon import phantom
 from capradon.phantom import (
     Box,
     Cylinder,
@@ -595,12 +596,32 @@ def test_convex_crossings_are_one_sorted_pair(prim, theta, z, offsets):
     assert np.all(np.isnan(entry) | (entry <= exit_))
 
 
+# Each ordering path of line_integrals, pinned.  Two overlapping convex
+# members (a quarter-turn box and a sphere; two cylinders) take the
+# two-member merge.  At angle 0 the lattice offsets -0.25 and 1.75 run
+# along the box's faces through its corners, -0.5 and 1.5 are tangent to
+# the sphere, -0.375 crosses the sphere only, 1.625 the box only, 0.5 both
+# and 2.5 neither; at height 0.75 only the sphere is present.  Three and
+# four convex members take np.sort.
+_TWO = [Box((0.75, 0.0, 0.0), (0.5, 1.0, 0.5), 90.0, 2.0),
+        Sphere((0.5, 0.0, 0.0), 1.0, 0.5)]
+_THREE = _TWO + [Cylinder(-0.25, 0.5, -0.5, 0.5, 0.75, 3.0)]
+_FOUR = _THREE + [Box((0.0, -0.25, 0.125), (1.5, 0.25, 0.5), 180.0, 1.5)]
+_ROWS = [(0.0, 0.0), (np.pi / 2, 0.25), (np.pi / 3, 0.75)]
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(members=st.lists(_member, min_size=1, max_size=4),
        rows=st.lists(st.tuples(_line_angle, _line_height), min_size=1,
                      max_size=4),
        offsets=st.lists(st.floats(-8.0, 8.0), max_size=20))
+@example(members=_TWO, rows=_ROWS, offsets=[])
+@example(members=[Cylinder(0.0, 0.0, -1.0, 1.0, 1.0, 2.0),
+                  Cylinder(1.0, 0.5, -0.5, 0.5, 0.5, 0.5)],
+         rows=[(0.0, 0.0), (np.pi / 2, 0.75)], offsets=[])
+@example(members=_THREE, rows=_ROWS, offsets=[])
+@example(members=_FOUR, rows=_ROWS, offsets=[])
 def test_line_integrals_match_sorted_segment_oracle_bitwise(members, rows,
                                                             offsets):
     spec = PhantomSpec(members)
@@ -632,6 +653,16 @@ def test_a_radius_that_squares_finitely_integrates(prim):
         warnings.simplefilter("error")
         chords = line_integrals(PhantomSpec((prim,)), 0.0, [0.0, 1e153], 0.0)
     assert np.all(np.isfinite(chords)) and chords[0] == 2e154
+
+
+def test_sphere_slice_at_an_uncovered_height_is_empty():
+    # r**2 - r*r rounds to -2.2e-16 for this radius, whose slice at any
+    # height past the radius must get radius 0, not the sqrt of a negative
+    sphere = Sphere((0.0, 0.0, 0.0), 1.3860455862246444, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chords = line_integrals(PhantomSpec((sphere,)), 0.0, [0.0], 5.0)
+    assert chords.tolist() == [0.0]
 
 
 def _box_volume_error(h, supersample=False):
@@ -764,6 +795,21 @@ def test_voxel_round_trip(tmp_path, mixed_spec):
                                   grid.values.astype("<f4").astype(float))
     assert back.spacing == grid.spacing
     assert back.origin == grid.origin
+
+
+def test_refused_voxel_pack_writes_no_file(tmp_path, monkeypatch):
+    def refuse(grid):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(phantom, "pack_voxels", refuse)
+    grid = VoxelGrid(values=np.ones((2, 2, 2)), spacing=(1, 1, 1),
+                     origin=(0, 0, 0))
+    path, kept = tmp_path / "phantom.ectv", tmp_path / "kept.ectv"
+    kept.write_bytes(b"kept")
+    for target in (path, kept):
+        with pytest.raises(ValueError, match="refused"):
+            save_voxels(grid, target)
+    assert not path.exists() and kept.read_bytes() == b"kept"
 
 
 def test_voxel_load_rejects_bad_magic(tmp_path):

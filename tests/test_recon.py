@@ -414,6 +414,13 @@ def test_layer_gap_below_one_is_refused(tmp_path):
     path = tmp_path / "layer.ectl"
     with pytest.raises(ValueError, match="gap"):
         save_layer(np.zeros((4, 4)), 0, 2.5, path)
+    # the refused pack leaves no file, and an existing one as it was
+    assert not path.exists()
+    kept = tmp_path / "kept.ectl"
+    kept.write_bytes(b"kept")
+    with pytest.raises(ValueError, match="gap"):
+        save_layer(np.zeros((4, 4)), 0, 2.5, kept)
+    assert kept.read_bytes() == b"kept"
     # the gap is the u16 at offset 6, after the magic and the version
     blob = bytearray(pack_layer(np.zeros((4, 4)), 1, 2.5))
     struct.pack_into("<H", blob, 6, 0)

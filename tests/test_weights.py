@@ -223,8 +223,16 @@ def test_save_load_round_trip(tmp_path, raw_gap2):
 
 
 def test_save_requires_conditioned(tmp_path, raw_gap2):
-    with pytest.raises(ValueError):
-        save_weight(raw_gap2, tmp_path / "raw.ectw")
+    path = tmp_path / "raw.ectw"
+    with pytest.raises(ValueError, match="conditioned"):
+        save_weight(raw_gap2, path)
+    # the refused pack leaves no file, and an existing one as it was
+    assert not path.exists()
+    kept = tmp_path / "kept.ectw"
+    kept.write_bytes(b"kept")
+    with pytest.raises(ValueError, match="conditioned"):
+        save_weight(raw_gap2, kept)
+    assert kept.read_bytes() == b"kept"
 
 
 def test_load_rejects_bad_magic(tmp_path, raw_gap2):
