@@ -3,9 +3,11 @@
 Configuration is a flat key=value file; every key has a default and can
 be overridden with repeated --set flags (last one wins).  The pipeline
 subcommand chains all stages with content-addressed caching: a stage
-reruns only when its parameters or input artifacts changed.  Stages
-communicate through files in the output directory, so running them one
-at a time gives byte-identical artifacts.
+reruns only when its parameters or input artifacts changed.  Its one run
+record is manifest.json, rewritten after each stage; the cache is read
+from the record a previous run left.  Stages communicate through files in
+the output directory, each written whole, so running them one at a time
+gives byte-identical artifacts.
 
 Exit codes: 0 success, 2 configuration error, 3 stage failure.
 """
@@ -32,6 +34,7 @@ from .forward import (
     save_sinogram,
     simulate_sweep,
 )
+from .framing import atomic_write
 from .greenfn import potential_coefficients
 from .phantom import (
     PhantomParseError,
@@ -332,7 +335,7 @@ def render_pgm(image, path, mode="symmetric", lo=None, hi=None):
         note = f"map mode={mode} constant value={lo_v!r}"
     h, w = image.shape
     header = f"P5\n# {note}\n{w} {h}\n65535\n".encode("ascii")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(header + pixels.tobytes())
 
 
@@ -464,14 +467,6 @@ def _stage_key(cfg, name, artifacts):
     return hashlib.sha256(blob).hexdigest()
 
 
-def _load_cache(outdir):
-    try:
-        cache = json.loads((outdir / "cache.json").read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
-    return cache if isinstance(cache, dict) else {}
-
-
 def _run_stage(cfg, name, outdir):
     """Run one stage; returns its outputs, or removes them and raises."""
     stage = _STAGE_TABLE[name]
@@ -491,15 +486,24 @@ def _run_stage(cfg, name, outdir):
 
 
 def run_pipeline(cfg, echo=print):
-    """Run every stage with caching; returns the manifest dictionary."""
+    """Run every stage with caching; returns the manifest dictionary, which
+    is rewritten after each stage and read back as the next run's cache."""
     outdir = Path(cfg["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    cache = _load_cache(outdir)
+    path = outdir / "manifest.json"
+    try:
+        entries = {entry["name"]: entry for entry in
+                   json.loads(path.read_text(encoding="utf-8"))["stages"]
+                   if isinstance(entry, dict)
+                   and isinstance(entry.get("name"), str)}
+    except (OSError, ValueError, TypeError, KeyError):
+        # an unreadable manifest is a miss for every stage
+        entries = {}
     artifacts = {}
-    manifest_stages = []
+    manifest = {"config": {key: cfg[key] for key in _DEFAULTS}, "stages": []}
     for name, stage in _STAGE_TABLE.items():
         key = _stage_key(cfg, name, artifacts)
-        entry = cache.get(name)
+        entry = entries.get(name)
         # a malformed entry is a miss; one that lists other files than the
         # stage's outputs is too, so no other file is hashed
         cached = (isinstance(entry, dict) and entry.get("key") == key
@@ -515,30 +519,24 @@ def run_pipeline(cfg, echo=print):
             try:
                 written = _run_stage(cfg, name, outdir)
             except StageError:
-                cache.pop(name, None)
-                _write_json(outdir / "cache.json", cache)
+                _write_json(path, manifest)
                 raise
             outputs = {output: _sha256(outdir / output) for output in written}
-            cache[name] = {"key": key, "outputs": outputs}
-            _write_json(outdir / "cache.json", cache)
         seconds = time.perf_counter() - start
         artifacts.update(outputs)
-        manifest_stages.append({"name": name, "key": key, "cached": cached,
-                                "seconds": round(seconds, 6),
-                                "outputs": outputs})
+        manifest["stages"].append({"name": name, "key": key, "cached": cached,
+                                   "seconds": round(seconds, 6),
+                                   "outputs": outputs})
+        _write_json(path, manifest)
         if echo:
             state = "cached" if cached else f"{seconds:.2f}s"
             echo(f"{name}: {state}")
-    manifest = {"config": {key: cfg[key] for key in _DEFAULTS},
-                "stages": manifest_stages}
-    _write_json(outdir / "manifest.json", manifest)
     return manifest
 
 
 def _write_json(path, record):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def main(argv=None):

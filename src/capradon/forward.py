@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .framing import read_header, read_samples
+from .framing import atomic_write, pack_samples, read_header, read_samples
 from .phantom import (
     PhantomSpec,
     format_phantom,
@@ -175,7 +175,10 @@ def _xy_corners(bounds):
 
 
 def _check_scan_circle(bounds, radius):
-    reach = max(np.hypot(x, y) for x, y in _xy_corners(bounds))
+    # each primitive's corners are finite distances from the z axis, but a
+    # corner of their union can lie past the float range: it is refused
+    with np.errstate(over="ignore"):
+        reach = max(np.hypot(x, y) for x, y in _xy_corners(bounds))
     if reach > radius + 1e-9:
         raise BoundingBoxError(
             f"phantom reaches {reach:.3f} mm, beyond the scan radius "
@@ -351,17 +354,15 @@ def pack_sinogram(sino):
                                geom.quant_delta, len(geom.gaps))]
     for k in geom.gaps:
         parts.append(_GAP_TAG.pack(k))
-        parts.append(sino.data[k].astype("<f4").tobytes())
+        parts.append(pack_samples(sino.data[k], f"gap {k} samples"))
     tail = "".join(f"{k}={v}\n" for k, v in sorted(sino.metadata.items()))
     parts.append(tail.encode("utf-8"))
     return b"".join(parts)
 
 
 def save_sinogram(sino, path):
-    # packed before the file opens, so a refused pack leaves no file
-    blob = pack_sinogram(sino)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    with atomic_write(path) as fh:
+        fh.write(pack_sinogram(sino))
 
 
 def load_sinogram(path):

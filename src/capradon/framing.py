@@ -1,10 +1,38 @@
 """Framing of the binary artifacts ECTW, ECTS, ECTL and ECTV: a little-endian
 struct header led by a four-byte magic and (but for ECTV) a u16 version,
-then finite f32 samples.  Checks raise the error type the loader passes."""
+then finite f32 samples.  Checks raise the error type the loader passes.
+Every output file of the package is written whole through `atomic_write`."""
 
+import contextlib
 import math
+import os
 
 import numpy as np
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode="wb", **open_args):
+    """Open a temporary file beside `path`; a clean exit renames it over
+    `path`, an exception removes it and leaves `path` as it was."""
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, mode, **open_args) as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temporary)
+        raise
+
+
+def pack_samples(values, what="samples"):
+    """The samples as <f4 bytes; raises ValueError unless each one is
+    finite as a float32, the write-side twin of `read_samples`."""
+    with np.errstate(over="ignore"):
+        samples = np.asarray(values).astype("<f4")
+    if not np.isfinite(samples).all():
+        raise ValueError(f"{what} hold values that are not finite as float32")
+    return samples.tobytes()
 
 
 def read_header(blob, header, magic, version, error):

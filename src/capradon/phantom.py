@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .framing import read_header, read_samples
+from .framing import atomic_write, pack_samples, read_header, read_samples
 
 __all__ = [
     "Primitive",
@@ -94,6 +94,17 @@ def _check_radius(radius):
     # the sections square the radius
     if not math.isfinite(radius * radius):
         raise ValueError(f"radius {radius} is too large to square")
+
+
+def _check_reach(prim):
+    # the scan-circle check takes the distance of each bounding-box corner
+    # from the z axis, and a rotated box's reach can overflow on its own
+    with np.errstate(over="ignore"):
+        bounds = prim.bounds()
+    corner = math.hypot(max(map(abs, bounds[0:2])),
+                        max(map(abs, bounds[2:4])))
+    if not (math.isfinite(corner) and all(map(math.isfinite, bounds))):
+        raise ValueError("the bounding box reaches past the float range")
 
 
 def _line_shape(theta, s, z):
@@ -211,6 +222,7 @@ class Box(Primitive):
         _check_contrast(self.contrast)
         if min(self.half_extents) <= 0:
             raise ValueError("half extents must be positive")
+        _check_reach(self)
 
     def covers(self, z):
         return abs(z - self.center[2]) <= self.half_extents[2]
@@ -262,6 +274,7 @@ class Cylinder(Primitive):
         _check_radius(self.radius)
         if self.z_hi <= self.z_lo:
             raise ValueError("z_hi must exceed z_lo")
+        _check_reach(self)
 
     def covers(self, z):
         return (self.z_lo <= z) & (z <= self.z_hi)
@@ -290,6 +303,7 @@ class Sphere(Primitive):
     def __post_init__(self):
         _check_contrast(self.contrast)
         _check_radius(self.radius)
+        _check_reach(self)
 
     def covers(self, z):
         return abs(z - self.center[2]) <= self.radius
@@ -332,6 +346,7 @@ class ExtrudedPolygon(Primitive):
             raise ValueError("z_hi must exceed z_lo")
         object.__setattr__(self, "vertices",
                            tuple((float(a), float(b)) for a, b in self.vertices))
+        _check_reach(self)
 
     def covers(self, z):
         return (self.z_lo <= z) & (z <= self.z_hi)
@@ -600,8 +615,9 @@ class VoxelGrid:
             raise ValueError("spacing must be positive and finite")
         if not np.all(np.isfinite(self.origin)):
             raise ValueError("origin must be finite")
-        if not np.all(vals > 0):
-            raise ValueError("permittivity values must be positive")
+        if not (np.isfinite(vals).all() and (vals > 0).all()):
+            raise ValueError("permittivity values must be positive and "
+                             "finite")
 
 
 def rasterize(spec, shape, spacing, origin, supersample=False):
@@ -640,14 +656,12 @@ def pack_voxels(grid):
     nz, ny, nx = grid.values.shape
     header = _ECTV_HEADER.pack(_ECTV_MAGIC, nx, ny, nz, *grid.spacing,
                                *grid.origin)
-    return header + grid.values.astype("<f4").tobytes()
+    return header + pack_samples(grid.values)
 
 
 def save_voxels(grid, path):
-    # packed before the file opens, so a refused pack leaves no file
-    blob = pack_voxels(grid)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    with atomic_write(path) as fh:
+        fh.write(pack_voxels(grid))
 
 
 def load_voxels(path):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framing import read_header, read_samples
+from .framing import atomic_write, pack_samples, read_header, read_samples
 
 __all__ = [
     "WINDOWS",
@@ -229,14 +229,12 @@ def pack_layer(image, gap, pitch):
         raise ValueError(f"gap must be at least 1, got {gap}")
     header = _ECTL_HEADER.pack(_ECTL_MAGIC, _ECTL_VERSION, gap,
                                image.shape[0], pitch)
-    return header + image.astype("<f4").tobytes()
+    return header + pack_samples(image)
 
 
 def save_layer(image, gap, pitch, path):
-    # packed before the file opens, so a refused pack leaves no file
-    blob = pack_layer(image, gap, pitch)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    with atomic_write(path) as fh:
+        fh.write(pack_layer(image, gap, pitch))
 
 
 def load_layer(path):
@@ -256,7 +254,7 @@ def load_layer(path):
 def export_layer_csv(image, path):
     """Write the image as comma-separated rows of shortest-repr floats."""
     image = np.asarray(image, dtype=float)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         for row in image:
             fh.write(",".join(map(repr, row.tolist())) + "\r\n")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .framing import read_header, read_samples
+from .framing import atomic_write, pack_samples, read_header, read_samples
 from .greenfn import eval_potential
 
 __all__ = [
@@ -160,15 +160,13 @@ def pack_weight(grid):
     header = _HEADER.pack(_MAGIC, _VERSION, grid.gap, grid.nx, grid.nz,
                           grid.dx, grid.dz, grid.x_origin, grid.z_origin,
                           grid.scale, grid.z_cut)
-    return header + grid.values.astype("<f4").tobytes()
+    return header + pack_samples(grid.values)
 
 
 def save_weight(grid, path):
     """Write the grid to `path` in ECTW format."""
-    # packed before the file opens, so a refused pack leaves no file
-    blob = pack_weight(grid)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    with atomic_write(path) as fh:
+        fh.write(pack_weight(grid))
 
 
 def load_weight(path):

@@ -62,7 +62,9 @@ def _polygon(prim, x, y, z):
     # even-odd ray casting, edge by edge
     for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
         crosses = (y1 > y) != (y2 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # xi is masked where the edge is not crossed; there a nearly
+        # horizontal edge can divide by zero or overflow
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
         inside ^= crosses & (x < xi)
     zz = np.asarray(z)

@@ -246,14 +246,25 @@ def test_import_leaves_csv_unloaded():
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
 
+def named_files(outdir):
+    """The files the manifest names, with their recorded digests."""
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    return {name: digest for stage in manifest["stages"]
+            for name, digest in stage["outputs"].items()}
+
+
 def test_pipeline_smoke(tmp_path):
     assert main(["pipeline"] + small_args(tmp_path)) == 0
     outdir = tmp_path / "out"
     for name in ("weights_k1.ectw", "weights_k2.ectw", "phantom.ectv",
                  "sweep.ects", "layer_k1.ectl", "layer_k2.ectl",
-                 "layer_k1.pgm", "layer_k2.pgm", "manifest.json",
-                 "cache.json"):
+                 "layer_k1.pgm", "layer_k2.pgm", "manifest.json"):
         assert (outdir / name).exists(), name
+    # the manifest is the one run record: no cache.json, and no file left
+    # that it does not name
+    assert not (outdir / "cache.json").exists()
+    assert sorted(os.listdir(outdir)) == sorted(
+        [*named_files(outdir), "manifest.json"])
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert [s["name"] for s in manifest["stages"]] == [
         "weights", "phantom", "forward", "recon", "render"]
@@ -350,6 +361,31 @@ def test_non_finite_phantom_numbers_exit_2(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+# Finite numbers whose bounding box, or a corner's distance from the z axis,
+# overflows a float; each used to warn on the way to exit 2
+HUGE_PHANTOMS = [
+    ("box 0 0 5 1.5e308 1.5e308 1 45 2.0\n", "line 1: the bounding box"),
+    ("polygon 2 9 1.7 -1.7e308 0 1.7e308 0 0 1.7e308\n",
+     "line 1: the bounding box"),
+    ("sphere 1.7e308 1.7e308 5 1 2.0\n", "line 1: the bounding box"),
+    # each polygon's corners are in range, but a corner of the scene's box
+    # is not
+    ("polygon 2 9 1.7 1.3e308 0 1.3e308 1 1.2e308 1\n"
+     "polygon 2 9 1.7 0 1.3e308 1 1.3e308 1 1.2e308\n",
+     "beyond the scan radius"),
+]
+
+
+@pytest.mark.parametrize("scene, message", HUGE_PHANTOMS)
+def test_huge_phantom_numbers_exit_2(tmp_path, capsys, scene, message):
+    phantom = tmp_path / "huge.txt"
+    phantom.write_text(scene)
+    args = small_args(tmp_path, phantom=str(phantom))
+    assert main(["pipeline"] + args) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("setting, message", [
     ("dx=0.03", "1/dx"),
     ("x_pad=0", "x_pad"),
@@ -436,6 +472,12 @@ _FUZZ_KEYS = {
 _FUZZ_SETTING = st.sampled_from(sorted(_FUZZ_KEYS)).flatmap(
     lambda key: st.sampled_from(_FUZZ_POOLS[_FUZZ_KEYS[key]]).map(
         lambda value: f"{key}={value}"))
+# Scenes the fuzzer draws: small_args' sphere, an empty scene, one of each
+# other kind, and the huge numbers above
+_FUZZ_SCENES = ["sphere 4 -2 6 2.5 2.0\n", "",
+                "box -3 1 5 2 1.5 1 30 1.5\ncylinder 2 2 3 7 1.5 2.5\n",
+                "polygon 2 9 1.7 -4 -4 4 -4 0 5\n",
+                *(scene for scene, _ in HUGE_PHANTOMS)]
 # each loader returns the numbers an artifact holds, header included
 _LOADERS = {
     ".ectw": lambda path: [(grid := load_weight(path)).values, grid.scale,
@@ -450,17 +492,21 @@ _LOADERS = {
 
 
 @settings(max_examples=80, deadline=None)
-@given(sets=st.lists(_FUZZ_SETTING, min_size=1, max_size=3))
-@example(sets=["dx=5e-324"])
-@example(sets=["green_eps0=10"])
-@example(sets=["pixel_mm=1e308"])
-@example(sets=["voxel_dx=1e308"])
-@example(sets=["render=fixed", "render_hi=5e-324"])
-def test_random_settings_exit_2_or_give_loadable_artifacts(sets):
+@given(sets=st.lists(_FUZZ_SETTING, min_size=1, max_size=3),
+       scene=st.sampled_from(_FUZZ_SCENES))
+@example(sets=["dx=5e-324"], scene=_FUZZ_SCENES[0])
+@example(sets=["green_eps0=10"], scene=_FUZZ_SCENES[0])
+@example(sets=["pixel_mm=1e308"], scene=_FUZZ_SCENES[0])
+@example(sets=["voxel_dx=1e308"], scene=_FUZZ_SCENES[0])
+@example(sets=["render=fixed", "render_hi=5e-324"], scene=_FUZZ_SCENES[0])
+@example(sets=["csv=1"], scene=HUGE_PHANTOMS[0][0])
+@example(sets=["csv=1"], scene=HUGE_PHANTOMS[1][0])
+def test_random_settings_exit_2_or_give_loadable_artifacts(sets, scene):
     # McKeeman's differential testing, on the CLI: a run either is turned
     # away before anything is written, or writes only finite artifacts that
     # the public loaders accept; a warning counts as a failure
     with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "ball.txt").write_text(scene)
         args = small_args(Path(tmp))
         for setting in sets:
             args += ["--set", setting]
@@ -510,20 +556,65 @@ def test_phantom_outside_scan_circle_exits_2(tmp_path, capsys, far):
     assert not (tmp_path / "out").exists()
 
 
+def _no_space(sino, path):
+    raise OSError(28, "No space left on device")
+
+
+def assert_record_matches_files(outdir):
+    # every file the manifest names exists with the digest it records
+    for name, digest in named_files(outdir).items():
+        assert hashlib.sha256((outdir / name).read_bytes()).hexdigest() \
+            == digest, name
+
+
 def test_stage_failures_exit_3(tmp_path, capsys, monkeypatch):
     # the forward stage fails to write its sweep -> exit 3; the weights
-    # stay, and neither the sweep nor the manifest is left behind
-    def no_space(sino, path):
-        raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(cli, "save_sinogram", no_space)
+    # stay, the sweep is not left behind, and the manifest records the two
+    # stages that finished
+    monkeypatch.setattr(cli, "save_sinogram", _no_space)
     assert main(["pipeline"] + small_args(tmp_path)) == 3
     err = capsys.readouterr().err
     assert "forward stage failed" in err
     outdir = tmp_path / "out"
     assert (outdir / "weights_k1.ectw").exists()
     assert not (outdir / "sweep.ects").exists()
-    assert not (outdir / "manifest.json").exists()
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert [s["name"] for s in manifest["stages"]] == ["weights", "phantom"]
+    assert "sweep.ects" not in named_files(outdir)
+    assert_record_matches_files(outdir)
+
+
+def test_rerun_after_a_failed_stage_hits_the_finished_stages(tmp_path,
+                                                             monkeypatch):
+    args = small_args(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "save_sinogram", _no_space)
+        assert main(["pipeline"] + args) == 3
+    assert main(["pipeline"] + args) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    cached = {s["name"]: s["cached"] for s in manifest["stages"]}
+    assert cached == {"weights": True, "phantom": True, "forward": False,
+                      "recon": False, "render": False}
+    assert main(["pipeline"] + small_args(tmp_path, outdir="clean")) == 0
+    assert artifact_bytes(tmp_path / "out") == artifact_bytes(
+        tmp_path / "clean")
+
+
+def test_failed_run_replaces_the_record_of_an_earlier_run(tmp_path,
+                                                          monkeypatch):
+    # run A succeeds; run B, with another n_angles, fails in its forward
+    # stage, which removes A's sweep: the record is B's, and it names no
+    # file that is gone
+    outdir = tmp_path / "out"
+    assert main(["pipeline"] + small_args(tmp_path, n_angles=12)) == 0
+    monkeypatch.setattr(cli, "save_sinogram", _no_space)
+    assert main(["pipeline"] + small_args(tmp_path, n_angles=10)) == 3
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["config"]["n_angles"] == 10
+    assert [(s["name"], s["cached"]) for s in manifest["stages"]] == [
+        ("weights", True), ("phantom", True)]
+    assert not (outdir / "sweep.ects").exists()
+    assert_record_matches_files(outdir)
 
 
 def test_standalone_stage_failure_removes_its_outputs(tmp_path, capsys,
@@ -582,7 +673,7 @@ DEFAULT_STAGE_KEYS = {
 
 
 def test_default_stage_keys_are_pinned():
-    # cache.json written by one version must keep hitting in the next: a
+    # a manifest written by one version must keep hitting in the next: a
     # key that changes reruns every stage of every existing outdir
     cfg = resolve_config()
     names = ([f"weights_k{k}.ectw" for k in cfg["gaps"]]
@@ -595,32 +686,38 @@ def test_default_stage_keys_are_pinned():
     assert keys == DEFAULT_STAGE_KEYS
 
 
-def _drop_outputs(entry, cache):
+def _drop_outputs(entry, entries):
     del entry["outputs"]
     return entry
 
 
-def _no_outputs(entry, cache):
+def _no_outputs(entry, entries):
     entry["outputs"] = {}
     return entry
 
 
-def _outputs_as_list(entry, cache):
+def _outputs_as_list(entry, entries):
     entry["outputs"] = sorted(entry["outputs"])
     return entry
 
 
-def _list_entry(entry, cache):
+def _list_entry(entry, entries):
     return []
 
 
-def _string_entry(entry, cache):
+def _string_entry(entry, entries):
     return "phantom.ectv"
 
 
-def _foreign_output(entry, cache):
+def _foreign_output(entry, entries):
     # a valid digest of a file that the stage does not write
-    entry["outputs"]["sweep.ects"] = cache["forward"]["outputs"]["sweep.ects"]
+    entry["outputs"]["sweep.ects"] = (
+        entries["forward"]["outputs"]["sweep.ects"])
+    return entry
+
+
+def _numbered_entry(entry, entries):
+    entry["name"] = 0
     return entry
 
 
@@ -631,16 +728,20 @@ def _foreign_output(entry, cache):
     ("forward", _outputs_as_list),
     ("phantom", _string_entry),
     ("render", _foreign_output),
+    ("weights", _numbered_entry),
 ])
 def test_malformed_cache_entry_is_a_miss(tmp_path, stage, corrupt):
+    # the cache is the stage entries of the manifest
     args = small_args(tmp_path)
     assert main(["pipeline"] + args) == 0
     outdir = tmp_path / "out"
     before = artifact_bytes(outdir)
-    path = outdir / "cache.json"
-    cache = json.loads(path.read_text())
-    cache[stage] = corrupt(cache[stage], cache)
-    path.write_text(json.dumps(cache))
+    path = outdir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    entries = {s["name"]: s for s in manifest["stages"]}
+    manifest["stages"] = [corrupt(s, entries) if s["name"] == stage else s
+                          for s in manifest["stages"]]
+    path.write_text(json.dumps(manifest))
     assert main(["pipeline"] + args) == 0
     manifest = json.loads((outdir / "manifest.json").read_text())
     cached = {s["name"]: s["cached"] for s in manifest["stages"]}
@@ -653,11 +754,35 @@ def test_undecodable_cache_is_a_miss(tmp_path):
     assert main(["pipeline"] + args) == 0
     outdir = tmp_path / "out"
     before = artifact_bytes(outdir)
-    (outdir / "cache.json").write_bytes(b"\xff\xfe{}")
+    (outdir / "manifest.json").write_bytes(b"\xff\xfe{}")
     assert main(["pipeline"] + args) == 0
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert not any(s["cached"] for s in manifest["stages"])
     assert artifact_bytes(outdir) == before
+
+
+@pytest.mark.parametrize("blob", [
+    b"", b"[]", b'"stages"', b"{}", b'{"stages": 3}',
+    b'{"stages": {"weights": {}}}', b'{"stages": [1, [], {"name": null}]}',
+], ids=["empty", "list", "string", "no-stages", "stages-number",
+        "stages-dict", "unnamed-entries"])
+def test_manifest_of_another_shape_is_a_miss(tmp_path, blob):
+    args = small_args(tmp_path)
+    assert main(["pipeline"] + args) == 0
+    (tmp_path / "out" / "manifest.json").write_bytes(blob)
+    assert main(["pipeline"] + args) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert not any(s["cached"] for s in manifest["stages"])
+
+
+def test_leftover_cache_json_is_ignored(tmp_path):
+    # an outdir of an older version keeps hitting through its manifest
+    args = small_args(tmp_path)
+    assert main(["pipeline"] + args) == 0
+    (tmp_path / "out" / "cache.json").write_text("{}")
+    assert main(["pipeline"] + args) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert all(s["cached"] for s in manifest["stages"])
 
 
 def _benchmark_spans():

@@ -645,6 +645,22 @@ def test_parse_rejects_a_radius_too_large_to_square(line):
             parse_phantom(f"# c\n{line}\n")
 
 
+@pytest.mark.parametrize("line", [
+    "box 0 0 5 1.5e308 1.5e308 1 45 2.0",           # rotated reach overflows
+    "box 0 0 1.7e308 1 1 1e308 0 2.0",              # top face overflows
+    "polygon 2 9 1.7 -1.7e308 0 1.7e308 0 0 1.7e308",
+    "cylinder 1.7e308 -1.7e308 0 1 1 2.0",
+    "sphere 1.7e308 1.7e308 5 1 2.0",
+])
+def test_parse_rejects_a_bounding_box_past_the_float_range(line):
+    # the scan-circle check takes each corner's distance from the z axis
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PhantomParseError,
+                           match="^line 2: the bounding box reaches past"):
+            parse_phantom(f"# c\n{line}\n")
+
+
 @pytest.mark.parametrize("prim", [
     Sphere((0.0, 0.0, 0.0), 1e154, 2.0),
     Cylinder(0.0, 0.0, -1.0, 1.0, 1e154, 2.0)])
@@ -735,6 +751,10 @@ def _off_faces(spec, x, y, z, eps=1e-7):
 @settings(max_examples=25, deadline=None)
 @given(spec=_scene, seed=st.integers(0, 2**32 - 1),
        supersample=st.booleans())
+# a polygon edge 1e-308 long, over which the oracle's quotient overflowed
+@example(spec=PhantomSpec((ExtrudedPolygon(
+    ((0.0, 0.0), (0.0, 1.1125369292536007e-308), (1.0, 0.0)), 1.0, 2.0,
+    2.0),)), seed=0, supersample=False)
 def test_parity_rule_matches_closed_rule_off_faces(spec, seed, supersample):
     """The program's one inside rule against the closed point tests.
 
